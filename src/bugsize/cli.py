@@ -141,9 +141,13 @@ def _cmd_ingest(args) -> dict:
 
 def _cmd_fit(args) -> dict:
     summaries = _summaries_from_args(args)
-    summaries = [s for s in summaries if s.distinct_bugs > 0]
-    if not summaries:
-        raise ValueError("no phase in the input contains any logged defect")
+    empty = [s.phase for s in summaries if s.distinct_bugs == 0]
+    if empty:
+        # dropping an empty phase would re-index the negative-binomial chain
+        raise ValueError(
+            f"no logged defect in phase(s) {', '.join(map(str, empty))}; "
+            "the model needs at least one defect in every phase"
+        )
     raw_config = _load_config(args.config)
     hyper_config = model_mod.HyperConfig.from_dict(raw_config)
     hyper = model_mod.build_hyperparams(summaries, hyper_config, args.seed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from math import lgamma, log, log1p
 
 import numpy as np
+from scipy.special import gammaln
 
 from .ingest import PhaseSummary
 
@@ -89,13 +90,28 @@ class DiscretePmf:
 
 
 def binomial_pmf(n: int, t: float) -> DiscretePmf:
-    """Binomial(n, t) as an explicit pmf over 0..n."""
+    """Binomial(n, t) as an explicit pmf over 0..n.
+
+    The mass is built in log space and normalised after subtracting its
+    maximum, so n in the tens of thousands neither overflows nor
+    underflows; t = 0 and t = 1 are exact point masses.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     support = np.arange(n + 1)
-    mass = np.array([math.comb(n, k) * t**k * (1.0 - t) ** (n - k) for k in support])
+    if t in (0.0, 1.0):
+        mass = (support == (0 if t == 0.0 else n)).astype(float)
+        return DiscretePmf(support, mass)
+    log_mass = (
+        gammaln(n + 1.0)
+        - gammaln(support + 1.0)
+        - gammaln(n - support + 1.0)
+        + support * log(t)
+        + (n - support) * log1p(-t)
+    )
+    mass = np.exp(log_mass - log_mass.max())
     return DiscretePmf(support, mass / mass.sum())
 
 
@@ -315,8 +331,11 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
 class ChainState:
     """Current draw of one MCMC chain.
 
-    ``S[j][i]`` must stay within [observed size, n_trials]; per-phase
-    totals are always derived, never stored.
+    ``S[j][i]`` must stay within [max(observed size, 1), n_trials]; the
+    sampler's Metropolis step reads only the bug it updates and relies on
+    every other bug keeping these bounds.  Per-phase totals ``F`` and the
+    size parameters derived from them are recomputed on demand, never
+    stored, so direct writes to ``S`` can never leave a stale total.
     """
 
     S: list[np.ndarray]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import lgamma, log
+from math import lgamma, log, log1p
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .model import (
     Hyperparams,
     cumulative_totals,
     log_likelihood,
-    log_posterior_S_kernel,
+    log_posterior_S_kernel,  # noqa: F401 -- not called: the reference mh_log_alpha must match
     nb_sizes,
     resolve_for_data,
     sample_n_trials,
@@ -173,9 +173,16 @@ def mh_log_alpha(
     """Log acceptance ratio of an independence Poisson proposal for S_ij.
 
     log alpha = kernel(S') - kernel(S) + [S log lam - log S!]
-    - [S' log lam - log S'!].  Proposals below the observed size, below
-    1, above the trial count, or breaking a phase's size-parameter
-    positivity are rejected outright (-inf).
+    - [S' log lam - log S'!], where the kernel difference is computed
+    from the terms the move touches, in O(phases): bug (i, j)'s own
+    size-biased binomial term, and the negative-binomial terms of the
+    phases whose size parameter moves.  With delta = S' - S, r_j moves
+    by +delta, r_{j+1} stays put and r_k moves by -(k - j - 1) delta for
+    k >= j + 2.  The other bugs are not read; they are taken to satisfy
+    the ChainState bounds.  Proposals below the observed size, below 1,
+    above the trial count, or breaking a phase's size-parameter
+    positivity are rejected outright (-inf); from an infeasible current
+    state any feasible proposal is accepted (+inf).
     """
     s_obs = int(data[j].observed_sizes[i])
     n_ij = int(state.n_trials[j][i])
@@ -184,23 +191,36 @@ def mh_log_alpha(
     current = int(state.S[j][i])
     if proposed == current:
         return 0.0
+    if current > n_ij:
+        raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
-    kernel_current = log_posterior_S_kernel(state, data, hyper)
-    state.S[j][i] = proposed
-    try:
-        kernel_proposed = log_posterior_S_kernel(state, data, hyper)
-    finally:
-        state.S[j][i] = current
-    if kernel_proposed == -math.inf:
+    delta = proposed - current
+    r = nb_sizes(cumulative_totals(state.F)).tolist()
+    r_new = list(r)
+    r_new[j] += delta
+    for k in range(j + 2, len(r)):
+        r_new[k] -= (k - j - 1) * delta
+    if min(r_new) <= 0.0:
         return -math.inf
-    if kernel_current == -math.inf:
+    if current < 1 or min(r) <= 0.0:
         return math.inf
+
+    S, S_new, n = float(current), float(proposed), float(n_ij)
+    t = float(state.t[j][i])
+    out = log(S_new) - log(S) + lgamma(S + 1.0) - lgamma(S_new + 1.0)
+    out += lgamma(n - S + 1.0) - lgamma(n - S_new + 1.0)
+    out += delta * (log(t) - log1p(-t))
+    for k in (j, *range(j + 2, len(r))):
+        N_k = float(data[k].runs_cumulative)
+        out += lgamma(N_k + r_new[k]) - lgamma(r_new[k])
+        out -= lgamma(N_k + r[k]) - lgamma(r[k])
+        out += (r_new[k] - r[k]) * log1p(-float(state.p[k]))
 
     lam = float(hyper.proposal_rate[j][i])
     correction = (current * log(lam) - lgamma(current + 1.0)) - (
         proposed * log(lam) - lgamma(proposed + 1.0)
     )
-    return kernel_proposed - kernel_current + correction
+    return out + correction
 
 
 def mh_update_S(

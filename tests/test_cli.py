@@ -157,6 +157,19 @@ class TestFitPipeline:
         assert sum(report["weights"]) == pytest.approx(1.0)
 
 
+    def test_empty_phase_rejected(self, capsys, sample_log, tmp_path):
+        # phase 2 of three logs no defect; fitting without it would
+        # re-index the negative-binomial chain
+        log = tmp_path / "gap.csv"
+        log.write_text(sample_log.read_text().replace("\n2,", "\n3,"))
+        code, _, err = run_cli(
+            capsys, "fit", "--data", str(log), "--runs", "40,50,60", "--iterations", "20",
+            "--burn-in", "5",
+        )
+        assert code == 1
+        assert "phase(s) 2" in err
+
+
 class TestSimulateRoundTrip:
     def test_simulate_then_ingest(self, capsys, tmp_path):
         log_path = tmp_path / "sim.csv"
@@ -181,6 +194,26 @@ class TestSimulateRoundTrip:
         for row, expected in zip(phases, truth["observed_sizes"]):
             assert sum(row["sizes"]) == sum(expected)
         assert sim_report["runs_per_phase"] == truth["runs_per_phase"]
+
+    def test_simulate_large_trial_counts(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "phases": 2,
+                    "bugs_per_phase": [3, 3],
+                    "n_trials_range": [1030, 1030],
+                    "t_range": [0.35, 0.85],
+                    "p_true": [0.7, 0.7],
+                }
+            )
+        )
+        log_path = tmp_path / "sim.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(scenario), "--out", str(log_path)
+        )
+        assert code == 0, err
+        assert json.loads(out)["phases"] == 2
 
     def test_simulate_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.csv"

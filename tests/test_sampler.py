@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bugsize.sampler as sampler_mod
 from bugsize.ingest import PhaseSummary
-from bugsize.model import ChainState, Hyperparams, flat_hyperparams, resolve_for_data
+from bugsize.model import (
+    ChainState,
+    Hyperparams,
+    flat_hyperparams,
+    log_posterior_S_kernel,
+    resolve_for_data,
+)
 from bugsize.sampler import (
     ChainDiagnostics,
     InitializationError,
@@ -45,6 +53,62 @@ def _single_bug_setup(s=3, n=10, N=5, p=0.5, t=0.5, a=1.0, b=1.0, lam=None):
         S=[np.array([s])], p=np.array([p]), t=[np.array([t])], n_trials=[np.array([n])]
     )
     return data, resolved, state
+
+
+def _three_phase_setup():
+    data = [
+        PhaseSummary(1, 10, {1: 1, 2: 2}),
+        PhaseSummary(2, 25, {3: 2, 4: 1}),
+        PhaseSummary(3, 45, {5: 3, 6: 2}),
+    ]
+    hyper = flat_hyperparams(3)
+    hyper.proposal_rate = [np.array([2.5, 3.0]), np.array([3.0, 2.0]), np.array([4.0, 3.5])]
+    return data, resolve_for_data(hyper, data), _three_phase_state()
+
+
+def _three_phase_state():
+    # per-phase totals (5, 6, 6): size parameters r = (5, 6, 1)
+    return ChainState(
+        S=[np.array([3, 2]), np.array([4, 2]), np.array([4, 2])],
+        p=np.array([0.4, 0.55, 0.6]),
+        t=[np.array([0.3, 0.6]), np.array([0.5, 0.45]), np.array([0.7, 0.35])],
+        n_trials=[np.array([8, 6]), np.array([9, 7]), np.array([10, 6])],
+    )
+
+
+def _reference_log_alpha(state, data, hyper, i, j, proposed, offset=0.0):
+    """The acceptance ratio from two full-kernel passes (plus a constant)."""
+    current = int(state.S[j][i])
+    if proposed < max(int(data[j].observed_sizes[i]), 1) or proposed > state.n_trials[j][i]:
+        return -math.inf
+    if proposed == current:
+        return 0.0
+    kernel_current = log_posterior_S_kernel(state, data, hyper) + offset
+    state.S[j][i] = proposed
+    kernel_proposed = log_posterior_S_kernel(state, data, hyper) + offset
+    state.S[j][i] = current
+    if kernel_proposed == -math.inf:
+        return -math.inf
+    if kernel_current == -math.inf:
+        return math.inf
+    lam = float(hyper.proposal_rate[j][i])
+    correction = (current * math.log(lam) - math.lgamma(current + 1.0)) - (
+        proposed * math.log(lam) - math.lgamma(proposed + 1.0)
+    )
+    return kernel_proposed - kernel_current + correction
+
+
+def _reference_update(state, hyper, data, i, j, rng, offset=0.0):
+    current = int(state.S[j][i])
+    proposed = int(rng.poisson(float(hyper.proposal_rate[j][i])))
+    log_alpha = _reference_log_alpha(state, data, hyper, i, j, proposed, offset)
+    if log_alpha >= 0.0:
+        return proposed, True
+    if log_alpha == -math.inf:
+        return current, False
+    if rng.uniform() < math.exp(log_alpha):
+        return proposed, True
+    return current, False
 
 
 class TestGibbsP:
@@ -158,18 +222,86 @@ class TestMetropolisStep:
                 log_alpha = mh_log_alpha(state, data, hyper, 0, 0, proposed)
                 assert math.exp(min(log_alpha, 0.0)) == pytest.approx(expected, rel=1e-12)
 
-    def test_accept_reject_invariant_to_kernel_offset(self, monkeypatch):
-        data, hyper, state = _single_bug_setup()
-        rng = np.random.default_rng(123)
-        baseline = [mh_update_S(state, hyper, data, 0, 0, rng) for _ in range(200)]
+    def test_accept_reject_invariant_to_kernel_offset(self):
+        # 200 decisions of the local-delta step against a reference step that
+        # scores each proposal by two full-kernel passes shifted by a constant
+        data, hyper, _ = _three_phase_setup()
+        fast_state, ref_state = _three_phase_state(), _three_phase_state()
+        fast_rng, ref_rng = np.random.default_rng(123), np.random.default_rng(123)
+        bugs = [(i, j) for j, summary in enumerate(data) for i in range(summary.distinct_bugs)]
+        fast, ref = [], []
+        for step in range(200):
+            i, j = bugs[step % len(bugs)]
+            fast.append(mh_update_S(fast_state, hyper, data, i, j, fast_rng))
+            fast_state.S[j][i] = fast[-1][0]
+            ref.append(_reference_update(ref_state, hyper, data, i, j, ref_rng, offset=7.31))
+            ref_state.S[j][i] = ref[-1][0]
+        assert fast == ref
+        assert 0 < sum(accepted for _, accepted in fast) < 200
 
-        original = sampler_mod.log_posterior_S_kernel
-        monkeypatch.setattr(
-            sampler_mod, "log_posterior_S_kernel", lambda *args: original(*args) + 7.31
+    def test_update_never_evaluates_full_kernel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Metropolis step evaluated the full kernel")
+
+        monkeypatch.setattr(sampler_mod, "log_posterior_S_kernel", forbidden)
+        data, hyper, state = _three_phase_setup()
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            for j, summary in enumerate(data):
+                for i in range(summary.distinct_bugs):
+                    state.S[j][i] = mh_update_S(state, hyper, data, i, j, rng)[0]
+
+    def test_moved_size_parameter_nonpositive_rejected(self):
+        # totals (5, 6, 6): r = (5, 6, 1); raising S_11 by 1 moves r_3 to 0
+        data, hyper, state = _three_phase_setup()
+        assert mh_log_alpha(state, data, hyper, 0, 0, 4) == -math.inf
+        assert _reference_log_alpha(state, data, hyper, 0, 0, 4) == -math.inf
+
+    def test_infeasible_current_state_accepts_feasible_proposal(self):
+        # totals (5, 6, 4): r_3 = -1; lowering S_11 by 2 moves r_3 to 1
+        data, hyper, state = _three_phase_setup()
+        state.S[2][0] = 2
+        assert mh_log_alpha(state, data, hyper, 0, 0, 1) == math.inf
+        assert _reference_log_alpha(state, data, hyper, 0, 0, 1) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_local_delta_matches_full_kernel_difference(self, draw):
+        phases = draw.draw(st.integers(1, 4))
+        sizes, trials, data = [], [], []
+        runs = 0
+        for phase in range(1, phases + 1):
+            bugs = draw.draw(st.integers(1, 3))
+            n_row = draw.draw(st.lists(st.integers(1, 12), min_size=bugs, max_size=bugs))
+            S_row = [draw.draw(st.integers(1, n)) for n in n_row]
+            observed = [draw.draw(st.integers(0, S)) for S in S_row]
+            runs += draw.draw(st.integers(0 if phase == 1 else 1, 40))
+            data.append(PhaseSummary(phase, runs, dict(enumerate(observed))))
+            sizes.append(np.array(S_row))
+            trials.append(np.array(n_row))
+        unit = st.floats(0.02, 0.98)
+        hyper = flat_hyperparams(phases)
+        hyper.proposal_rate = [
+            np.array(draw.draw(st.lists(st.floats(0.5, 12.0), min_size=len(row), max_size=len(row))))
+            for row in sizes
+        ]
+        hyper = resolve_for_data(hyper, data)
+        state = ChainState(
+            S=sizes,
+            p=np.array(draw.draw(st.lists(unit, min_size=phases, max_size=phases))),
+            t=[np.array(draw.draw(st.lists(unit, min_size=len(r), max_size=len(r)))) for r in sizes],
+            n_trials=trials,
         )
-        rng = np.random.default_rng(123)
-        offset = [mh_update_S(state, hyper, data, 0, 0, rng) for _ in range(200)]
-        assert offset == baseline
+        j = draw.draw(st.integers(0, phases - 1))
+        i = draw.draw(st.integers(0, len(sizes[j]) - 1))
+        proposed = draw.draw(st.integers(0, int(trials[j][i]) + 1))
+
+        expected = _reference_log_alpha(state, data, hyper, i, j, proposed)
+        actual = mh_log_alpha(state, data, hyper, i, j, proposed)
+        if math.isinf(expected):
+            assert actual == expected
+        else:
+            assert actual == pytest.approx(expected, rel=0, abs=1e-9)
 
 
 class TestInitState:

@@ -97,6 +97,26 @@ def test_size_biased_binomial_mean():
     assert draws.mean() == pytest.approx(1 + (n - 1) * t, abs=0.01)
 
 
+@pytest.mark.parametrize("n", [1030, 20_000])
+def test_binomial_mean_at_large_trial_counts(n):
+    # math.comb(n, k) as a float overflows from n = 1030; the log-space
+    # pmf must keep both means exact: n t, and n t + 1 - t size-biased
+    t = 0.37
+    pmf = binomial_pmf(n, t)
+    assert pmf.mean() == pytest.approx(n * t, rel=1e-12)
+    assert size_biased_pmf(pmf).mean() == pytest.approx(n * t + 1 - t, rel=1e-12)
+
+
+def test_binomial_degenerate_rates_are_point_masses():
+    assert binomial_pmf(5, 0.0).mass.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert binomial_pmf(5, 1.0).mass.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_generate_at_large_trial_counts():
+    log, truth = generate(small_scenario(n_trials_range=(1030, 1030)))
+    assert all(np.all(row >= 1) and np.all(row <= 1030) for row in truth.eventual)
+
+
 def test_matched_t_prior_round_trip():
     a, b = matched_t_prior((0.35, 0.85))
     alpha = a + 1.0
