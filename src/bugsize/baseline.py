@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from math import lgamma, log
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .ingest import summarize_phases
 from .model import flat_hyperparams
@@ -170,6 +169,8 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
     prior on the number of faults present entering the phase; this is
     exactly the normalizer of the posterior recursion.
     """
+    from scipy.special import logsumexp  # deferred: see model.binomial_pmf
+
     pool = state.remaining_pool
     total = detection.total
     if total > pool:
@@ -246,6 +247,8 @@ def _wins(errors_a: list[float], errors_b: list[float]) -> float:
 
 
 def _harmonic_mean_log_ml(loglik: np.ndarray) -> float:
+    from scipy.special import logsumexp
+
     flat = loglik.reshape(-1)
     return float(math.log(flat.size) - logsumexp(-flat))
 

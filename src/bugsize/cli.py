@@ -15,15 +15,17 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import baseline as baseline_mod
+# Only ingest is imported here; every handler imports the modules it runs,
+# so ingest and decide never load numpy and only simulate and compare load
+# scipy.  Handlers call through the module (sampler_mod.run_chain) so that a
+# tracer patching the module attribute sees the call.
 from . import ingest as ingest_mod
-from . import model as model_mod
-from . import predictor as predictor_mod
-from . import sampler as sampler_mod
-from . import simulator as simulator_mod
+
+if TYPE_CHECKING:
+    from .decision import StopDecision
+    from .sampler import PosteriorSummary
 
 __all__ = ["main", "run", "emit_report"]
 
@@ -42,14 +44,9 @@ def _jsonable(value):
         return {key: _jsonable(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if hasattr(value, "tolist"):
+        # numpy arrays and scalars, without importing numpy here
+        return _jsonable(value.tolist())
     return value
 
 
@@ -140,6 +137,9 @@ def _cmd_ingest(args) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    from . import model as model_mod
+    from . import sampler as sampler_mod
+
     summaries = _summaries_from_args(args)
     empty = [s.phase for s in summaries if s.distinct_bugs == 0]
     if empty:
@@ -207,7 +207,7 @@ def _cmd_fit(args) -> dict:
     return report
 
 
-def _dump_draws(posterior: sampler_mod.PosteriorSummary, path: str) -> None:
+def _dump_draws(posterior: PosteriorSummary, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["iteration", "chain", "phase", "F"])
@@ -239,6 +239,8 @@ def _totals_from_args(args) -> list[float]:
 
 
 def _cmd_predict(args) -> dict:
+    from . import predictor as predictor_mod
+
     totals = _totals_from_args(args)
     raw_config = _load_config(args.config)
     windows = raw_config.get("windows")
@@ -290,15 +292,17 @@ def _draws_from_dump(path: str) -> list[float]:
     return values
 
 
-def _decision_doc(decision: predictor_mod.StopDecision) -> dict:
+def _decision_doc(decision: StopDecision) -> dict:
     if decision.should_stop:
         return {"action": "stop", "stop_after_phase": decision.stop_after_phase}
     return {"action": "continue", "stop_after_phase": None}
 
 
 def _cmd_decide(args) -> dict:
+    from . import decision as decision_mod
+
     totals = _totals_from_args(args)
-    decision = predictor_mod.decide_stop(totals, args.epsilon)
+    decision = decision_mod.decide_stop(totals, args.epsilon)
     effective = {"totals": totals, "epsilon": args.epsilon}
     report = {
         "command": "decide",
@@ -313,6 +317,8 @@ def _cmd_decide(args) -> dict:
 
 
 def _cmd_baseline(args) -> dict:
+    from . import baseline as baseline_mod
+
     raw_config = _load_config(args.config)
     for key in ("n_total", "p0", "delta"):
         if key not in raw_config:
@@ -375,6 +381,9 @@ def _cmd_baseline(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
+    from . import baseline as baseline_mod
+    from . import simulator as simulator_mod
+
     raw_config = _load_config(args.scenario)
     comparison_raw = raw_config.pop("comparison", {})
     if raw_config:
@@ -402,6 +411,8 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
+    from . import simulator as simulator_mod
+
     raw_config = _load_config(args.scenario)
     if raw_config:
         raw_config.setdefault("seed", args.seed)

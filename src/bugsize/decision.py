@@ -1,0 +1,37 @@
+"""The epsilon stop-testing rule on per-phase totals.
+
+Kept apart from `predictor` and free of numpy, so that `bugsize decide`
+loads nothing beyond the standard library.  `predictor` re-exports both
+names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+__all__ = ["StopDecision", "decide_stop"]
+
+
+@dataclass(frozen=True)
+class StopDecision:
+    """Outcome of the epsilon rule: stop after this phase, or keep testing."""
+
+    stop_after_phase: int | None
+
+    @property
+    def should_stop(self) -> bool:
+        return self.stop_after_phase is not None
+
+
+def decide_stop(per_phase_totals, epsilon: float) -> StopDecision:
+    """First-crossing epsilon rule: stop after phase k-1 when phase k's
+    (estimated or predicted) total falls below epsilon."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    totals = [float(x) for x in per_phase_totals]
+    if any(x < 0 for x in totals):
+        raise ValueError("totals must be non-negative")
+    for k, total in enumerate(totals, start=1):
+        if total < epsilon:
+            return StopDecision(stop_after_phase=k - 1)
+    return StopDecision(stop_after_phase=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -78,8 +79,10 @@ class PhaseSummary:
     def distinct_bugs(self) -> int:
         return len(self.sizes_by_defect)
 
-    @property
+    @cached_property
     def observed_sizes(self) -> tuple[int, ...]:
+        # Cached because the MH step reads it once per proposal; nothing
+        # writes to `sizes_by_defect` after construction.
         return tuple(self.sizes_by_defect.values())
 
     @property

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from math import lgamma, log, log1p
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ingest import PhaseSummary
 
@@ -100,6 +99,10 @@ def binomial_pmf(n: int, t: float) -> DiscretePmf:
         raise ValueError("n must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    # Deferred: scipy.special takes about a quarter second to import, and
+    # only the commands that simulate (simulate, compare) build a pmf.
+    from scipy.special import gammaln
+
     support = np.arange(n + 1)
     if t in (0.0, 1.0):
         mass = (support == (0 if t == 0.0 else n)).astype(float)

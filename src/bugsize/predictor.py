@@ -1,11 +1,11 @@
-"""Forward prediction of the next phase's total bug size, and the
-stop-testing rule.
+"""Forward prediction of the next phase's total bug size.
 
 The predictive density over totals is a Gaussian kernel mixture whose
 component weights decay with event age through an exponential temporal
 kernel integrated over each event's time window.  The next-phase point
 prediction is the mean of the density restricted to [0, last observed
 total), which enforces that predicted totals shrink phase over phase.
+The stop-testing rule lives in `decision`; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from math import erf, exp, expm1, pi, sqrt
 
 import numpy as np
+
+from .decision import StopDecision, decide_stop
 
 __all__ = [
     "PhaseEvent",
@@ -81,17 +83,6 @@ class Prediction:
     bandwidth: float
     weights: tuple[float, ...]
     truncated_mass: float
-
-
-@dataclass(frozen=True)
-class StopDecision:
-    """Outcome of the epsilon rule: stop after this phase, or keep testing."""
-
-    stop_after_phase: int | None
-
-    @property
-    def should_stop(self) -> bool:
-        return self.stop_after_phase is not None
 
 
 def events_from_totals(totals, windows=None) -> list[PhaseEvent]:
@@ -289,17 +280,3 @@ def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Predictio
         weights=tuple(float(w) for w in weights),
         truncated_mass=total_mass / total_pos,
     )
-
-
-def decide_stop(per_phase_totals, epsilon: float) -> StopDecision:
-    """First-crossing epsilon rule: stop after phase k-1 when phase k's
-    (estimated or predicted) total falls below epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    totals = [float(x) for x in per_phase_totals]
-    if any(x < 0 for x in totals):
-        raise ValueError("totals must be non-negative")
-    for k, total in enumerate(totals, start=1):
-        if total < epsilon:
-            return StopDecision(stop_after_phase=k - 1)
-    return StopDecision(stop_after_phase=None)

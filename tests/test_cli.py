@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bugsize.cli import run
+import bugsize
+from bugsize.cli import _jsonable, run
 
 TABLE_TOTALS = "34007,36157,57738,11409,6.9e-10"
 
@@ -138,7 +144,8 @@ class TestFitPipeline:
         dump = tmp_path / "draws.csv"
         code = run(self.fit_args(sample_log, out, extra=["--dump-draws", str(dump)]))
         assert code == 0
-        rows = list(csv.DictReader(dump.open()))
+        with dump.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         # (300 - 100) retained per chain x 2 chains x 2 phases
         assert len(rows) == 200 * 2 * 2
         assert {row["phase"] for row in rows} == {"1", "2"}
@@ -317,3 +324,105 @@ class TestCompareCommand:
         assert out_a == out_b
         report = json.loads(out_a)
         assert 0.0 <= report["win_fraction"] <= 1.0
+
+
+def _modules_loaded(snippet, *argv):
+    """Run `snippet` in a fresh interpreter and report whether numpy and
+    scipy were imported by the time it finished."""
+    src = str(Path(bugsize.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = snippet + "\nimport sys\nprint('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+        check=True,
+    )
+    numpy_loaded, scipy_loaded = done.stdout.split()[-2:]
+    return numpy_loaded == "True", scipy_loaded == "True"
+
+
+RUN_CLI = "import sys\nfrom bugsize.cli import run\nassert run(sys.argv[1:]) == 0"
+
+
+class TestImportHygiene:
+    def test_bare_import_loads_neither(self):
+        assert _modules_loaded("import bugsize") == (False, False)
+        # a submodule reached as a package attribute is imported on demand
+        snippet = "import bugsize\nassert bugsize.decision.decide_stop([2, 0], 1).should_stop"
+        assert _modules_loaded(snippet) == (False, False)
+
+    @pytest.mark.parametrize("command", ["ingest", "decide"])
+    def test_ingest_and_decide_skip_numpy(self, command, sample_log, tmp_path):
+        if command == "ingest":
+            argv = ["ingest", "--data", str(sample_log), "--runs", "100,120"]
+        else:
+            argv = ["decide", "--totals", TABLE_TOTALS, "--epsilon", "1"]
+        argv += ["--out", str(tmp_path / "report.json"), "--quiet"]
+        assert _modules_loaded(RUN_CLI, *argv) == (False, False)
+
+    def test_fit_and_predict_skip_scipy(self, sample_log, tmp_path):
+        report = tmp_path / "fit.json"
+        fit = [
+            "fit", "--data", str(sample_log), "--runs", "40,90", "--iterations", "60",
+            "--burn-in", "10", "--chains", "1", "--out", str(report), "--quiet",
+        ]
+        assert _modules_loaded(RUN_CLI, *fit) == (True, False)
+        predict = [
+            "predict", "--from-report", str(report), "--bandwidth", "2.0", "--epsilon", "1",
+            "--out", str(tmp_path / "predict.json"), "--quiet",
+        ]
+        assert _modules_loaded(RUN_CLI, *predict) == (True, False)
+
+    def test_every_export_resolves(self):
+        for name in bugsize.__all__:
+            assert getattr(bugsize, name).__module__.startswith("bugsize.")
+        from bugsize import run_chain
+
+        assert run_chain is bugsize.sampler.run_chain
+        assert bugsize.decide_stop is bugsize.predictor.decide_stop
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bugsize.no_such_name
+
+
+def _reference_jsonable(value):
+    """The conversion by explicit numpy type checks that `_jsonable`'s
+    duck-typed `.tolist()` replaced."""
+    if isinstance(value, dict):
+        return {key: _reference_jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.float64(0.1),
+        np.float64(-3.0e-300),
+        np.int64(2**40),
+        np.bool_(True),
+        np.array([0.5, 1.0, 2.5]),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        {"weights": np.array([0.25, 0.75]), "pair": (np.int64(3), np.array([True, False]))},
+        ({"nested": [np.float64(1.5), None]}, "text"),
+        {"a": 1, "b": 2.5, "c": [True, None, "x"], "d": (1, 2)},
+        7,
+        None,
+        "plain",
+    ],
+)
+def test_jsonable_matches_explicit_conversion(value):
+    assert json.dumps(_jsonable(value)) == json.dumps(_reference_jsonable(value))
