@@ -159,7 +159,7 @@ def _cmd_fit(args) -> dict:
         seed=args.seed,
         epsilon_floor=args.epsilon_floor,
     )
-    posterior = sampler_mod.run_chain(summaries, hyper, sampler_config, workers=args.workers)
+    posterior = sampler_mod.run_chain(summaries, hyper, sampler_config)
 
     if args.dump_draws:
         _dump_draws(posterior, args.dump_draws)
@@ -470,7 +470,9 @@ def build_parser() -> _Parser:
     fit_p.add_argument("--burn-in", type=int, default=500)
     fit_p.add_argument("--thin", type=int, default=1)
     fit_p.add_argument("--epsilon-floor", type=float, default=1e-12)
-    fit_p.add_argument("--workers", type=int, default=1)
+    # Accepted for compatibility and ignored: chains run one after another,
+    # since pure-Python chains on threads gain nothing under the GIL.
+    fit_p.add_argument("--workers", type=int, default=1, help="ignored; chains run serially")
     fit_p.add_argument("--dump-draws", default=None, help="write retained draws as CSV")
     add_common(fit_p)
     fit_p.set_defaults(handler=_cmd_fit)

@@ -168,7 +168,6 @@ class Hyperparams:
     b: float | list[np.ndarray] = 1.0
     proposal_rate: float | list[np.ndarray] | None = None
     m_weights: list[list[np.ndarray]] | None = None
-    du_bound: int | None = None
 
     def __post_init__(self) -> None:
         self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
@@ -222,7 +221,6 @@ class HyperConfig:
 
     a: float | list = 1.0
     b: float | list = 1.0
-    du_bound: int | None = None
     proposal_rate: float | list | None = None
     hyper_seed: int | None = None
     mu: float | list | None = None
@@ -259,36 +257,17 @@ def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hy
         raise ValueError("mu and sigma2 must be configured together")
     else:
         hyper = sample_hyper(m, config.hyper_seed if config.hyper_seed is not None else seed)
-    hyper.a = config.a if not isinstance(config.a, list) else _as_ragged(config.a, data)
-    hyper.b = config.b if not isinstance(config.b, list) else _as_ragged(config.b, data)
-    if isinstance(config.proposal_rate, list):
-        hyper.proposal_rate = _as_ragged(config.proposal_rate, data)
-    else:
-        hyper.proposal_rate = config.proposal_rate
-    hyper.du_bound = config.du_bound
+    hyper.a, hyper.b, hyper.proposal_rate = config.a, config.b, config.proposal_rate
     return hyper
 
 
-def _as_ragged(values: list, data: list[PhaseSummary]) -> list[np.ndarray]:
-    if len(values) != len(data):
-        raise ValueError("per-bug configuration must list one entry per phase")
-    out = []
-    for row, summary in zip(values, data):
-        arr = np.asarray(row, dtype=float)
-        if arr.shape != (summary.distinct_bugs,):
-            raise ValueError(
-                f"phase {summary.phase}: expected {summary.distinct_bugs} per-bug values"
-            )
-        out.append(arr)
-    return out
-
-
 def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparams:
-    """Expand scalar/bug-level defaults against a concrete dataset.
+    """Expand and validate the bug-level settings against a concrete dataset.
 
-    Defaults: a = b = 1 broadcast; proposal rate max(s_ij, 1); trial
-    candidates s_ij times TRIAL_CANDIDATE_MULTIPLIERS; du_bound twice the
-    number of distinct defect ids observed overall.
+    A scalar ``a``, ``b`` or ``proposal_rate`` is broadcast over every
+    bug; a list must hold one row per phase with one value per bug.
+    Defaults: a = b = 1; proposal rate max(s_ij, 1); trial candidates
+    s_ij times TRIAL_CANDIDATE_MULTIPLIERS.
     """
     if hyper.n_phases != len(data):
         raise ValueError(
@@ -297,11 +276,17 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
     sizes = [np.asarray(s.observed_sizes, dtype=np.int64) for s in data]
 
     def broadcast(value, name):
-        if isinstance(value, list):
-            if len(value) != len(data):
-                raise ValueError(f"{name} must list one array per phase")
-            return [np.asarray(v, dtype=float) for v in value]
-        return [np.full(s.shape, float(value)) for s in sizes]
+        if not isinstance(value, list):
+            return [np.full(s.shape, float(value)) for s in sizes]
+        if len(value) != len(data):
+            raise ValueError(f"{name} must list one row per phase")
+        rows = [np.asarray(v, dtype=float) for v in value]
+        for row, summary in zip(rows, data):
+            if row.shape != (summary.distinct_bugs,):
+                raise ValueError(
+                    f"phase {summary.phase}: expected {summary.distinct_bugs} per-bug values"
+                )
+        return rows
 
     a = broadcast(hyper.a, "a")
     b = broadcast(hyper.b, "b")
@@ -320,14 +305,7 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
         ]
     else:
         m_weights = [[np.asarray(w) for w in row] for row in hyper.m_weights]
-    if hyper.du_bound is None:
-        distinct = len({d for s in data for d in s.sizes_by_defect})
-        du_bound = max(2 * distinct, 1)
-    else:
-        du_bound = hyper.du_bound
-    return replace(
-        hyper, a=a, b=b, proposal_rate=rate, m_weights=m_weights, du_bound=du_bound
-    )
+    return replace(hyper, a=a, b=b, proposal_rate=rate, m_weights=m_weights)
 
 
 @dataclass

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _SQRT_2PI = sqrt(2.0 * pi)
+# Points of the grid over [0, last total) on which the mode is located.
+MODE_GRID_POINTS = 2048
+# Rows of the pairwise difference matrix that cv_score holds at a time.
+CV_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,7 @@ class KdeConfig:
     bandwidth: float | str = "auto"
     temporal_rate: float = 1.0
     cv_grid: tuple[float, ...] | None = None
-    integration_points: int = 2048
     cv_samples: tuple[float, ...] | None = None
-    eval_time: float | None = None
 
     def __post_init__(self) -> None:
         if self.temporal_rate <= 0:
@@ -69,8 +71,6 @@ class KdeConfig:
                 raise ValueError("bandwidth must be a positive number or 'auto'")
         elif self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.integration_points < 16:
-            raise ValueError("integration_points must be >= 16")
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,11 @@ def _gauss(u: float, h: float) -> float:
     return exp(-0.5 * (u / h) ** 2) / (h * _SQRT_2PI)
 
 
+def _norm_cdf(z) -> np.ndarray:
+    """Standard normal CDF of each value in z."""
+    return np.array([0.5 * (1.0 + erf(v / sqrt(2.0))) for v in z])
+
+
 def kde_density(s, events: list[PhaseEvent], weights, h: float):
     """Weighted Gaussian mixture density over totals, evaluated at s.
 
@@ -155,7 +160,11 @@ def cv_score(samples, h: float) -> float:
 
     CV(h) = integral of fhat_h^2 - (2/n) sum_i fhat_{h,-i}(X_i), with
     the squared-density integral in closed form: the pairwise Gaussian
-    convolution has scale h*sqrt(2).
+    convolution has scale h*sqrt(2).  The n x n pairwise sums are taken
+    CV_BLOCK_ROWS rows at a time, so memory stays linear in n, and the
+    kernel exp(-u^2/2) is the square of the convolution's exp(-u^2/4).
+    The n diagonal terms of the leave-one-out sum, each 1 / (h sqrt(2
+    pi)), are subtracted at the end.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -163,10 +172,13 @@ def cv_score(samples, h: float) -> float:
         raise ValueError("cross-validation needs at least 2 samples")
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    diff = x[:, None] - x[None, :]
-    quad_term = float(np.exp(-0.25 * (diff / h) ** 2).sum() / (h * sqrt(2.0) * _SQRT_2PI)) / n**2
-    kernel = np.exp(-0.5 * (diff / h) ** 2) / (h * _SQRT_2PI)
-    loo_sum = float(kernel.sum() - np.trace(kernel)) / (n - 1)
+    quad_sum = kernel_sum = 0.0
+    for start in range(0, n, CV_BLOCK_ROWS):
+        conv = np.exp(-0.25 * ((x[start : start + CV_BLOCK_ROWS, None] - x) / h) ** 2)
+        quad_sum += float(conv.sum())
+        kernel_sum += float((conv * conv).sum())
+    quad_term = quad_sum / (h * sqrt(2.0) * _SQRT_2PI) / n**2
+    loo_sum = (kernel_sum - n) / (h * _SQRT_2PI) / (n - 1)
     return quad_term - 2.0 / n * loo_sum
 
 
@@ -197,25 +209,21 @@ def _default_grid(samples) -> tuple[float, ...]:
 
 def _truncated_moments(centers, weights, h, upper):
     """Per-component mass on [0, upper), the matching first-moment
-    contribution, and the mass on [0, inf).
+    contribution, the mass on [0, inf), and the normal CDF at 0.
 
     Uses the truncated-normal identity
     int_a^b x phi((x-c)/h)/h dx = c (Phi(B) - Phi(A)) + h (phi(A) - phi(B)).
     """
-
-    def cdf(z):
-        return 0.5 * (1.0 + erf(z / sqrt(2.0)))
-
     alpha = (0.0 - centers) / h
     beta = (upper - centers) / h
-    cdf_a = np.array([cdf(a) for a in alpha])
-    cdf_b = np.array([cdf(b) for b in beta])
+    cdf_a = _norm_cdf(alpha)
+    cdf_b = _norm_cdf(beta)
     mass = weights * (cdf_b - cdf_a)
     pos_mass = weights * (1.0 - cdf_a)
     phi_a = np.array([_gauss(a, 1.0) for a in alpha])
     phi_b = np.array([_gauss(b, 1.0) for b in beta])
     mean_part = centers * mass + weights * h * (phi_a - phi_b)
-    return mass, mean_part, pos_mass
+    return mass, mean_part, pos_mass, cdf_a
 
 
 def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Prediction:
@@ -229,9 +237,7 @@ def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Predictio
     """
     if len(events) < 2:
         raise ValueError("prediction needs at least 2 past events")
-    t_eval = config.eval_time
-    if t_eval is None:
-        t_eval = max(e.window_end for e in events) + 1.0
+    t_eval = max(e.window_end for e in events) + 1.0
     weights = temporal_weights(t_eval, events, config.temporal_rate)
     centers = np.array([e.total_size for e in events])
     upper = float(events[-1].total_size)
@@ -243,7 +249,7 @@ def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Predictio
     else:
         h = float(config.bandwidth)
 
-    mass, mean_part, pos_mass = _truncated_moments(centers, weights, h, upper)
+    mass, mean_part, pos_mass, cdf_zero = _truncated_moments(centers, weights, h, upper)
     total_mass = float(mass.sum())
     total_pos = float(pos_mass.sum())
     if total_pos <= 0.0 or total_mass / total_pos < 1e-12:
@@ -254,10 +260,7 @@ def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Predictio
     mean = min(float(mean_part.sum()) / total_mass, float(np.nextafter(upper, 0.0)))
 
     def truncated_cdf(x):
-        z = (x - centers) / h
-        component = 0.5 * (1.0 + np.array([erf(v / sqrt(2.0)) for v in z]))
-        base = 0.5 * (1.0 + np.array([erf(v / sqrt(2.0)) for v in (0.0 - centers) / h]))
-        return float((weights * (component - base)).sum()) / total_mass
+        return float((weights * (_norm_cdf((x - centers) / h) - cdf_zero)).sum()) / total_mass
 
     lo, hi = 0.0, upper
     for _ in range(200):
@@ -268,7 +271,7 @@ def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Predictio
             hi = mid
     median = 0.5 * (lo + hi)
 
-    grid_x = np.linspace(0.0, upper, config.integration_points, endpoint=False)
+    grid_x = np.linspace(0.0, upper, MODE_GRID_POINTS, endpoint=False)
     density = kde_density(grid_x, events, weights, h)
     mode = float(grid_x[int(np.argmax(density))])
 

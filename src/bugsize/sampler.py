@@ -2,14 +2,13 @@
 
 Each sweep updates every S_ij by an independence Metropolis step with a
 Poisson proposal, then every t_ij and every p_j from their conjugate
-Beta conditionals.  Chains are independent and reproducible from spawned
-sub-seeds of a single configured seed.
+Beta conditionals.  Chains run one after another, each reproducible from
+its own sub-seed spawned from a single configured seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import lgamma, log, log1p
 
@@ -56,7 +55,6 @@ class SamplerConfig:
     thin: int = 1
     seed: int = 0
     epsilon_floor: float = 1e-12
-    retain_S: bool = False
 
     def __post_init__(self) -> None:
         if self.chains < 1:
@@ -95,7 +93,6 @@ class PosteriorSummary:
     burn_in: int
     thin: int
     seed: int
-    S_draws: list[np.ndarray] | None = None  # per phase: (chains, retained, bugs)
 
     @property
     def F_draws(self) -> np.ndarray:
@@ -315,7 +312,6 @@ def _run_single_chain(data, hyper, config, seed_seq):
     totals = np.empty((kept, m))
     loglik = np.empty(kept)
     accept_counts = [np.zeros(n, dtype=np.int64) for n in n_bugs]
-    S_kept = [np.empty((kept, n), dtype=np.int64) for n in n_bugs] if config.retain_S else None
 
     out = 0
     for it in range(config.iterations):
@@ -334,25 +330,18 @@ def _run_single_chain(data, hyper, config, seed_seq):
             F = state.F
             totals[out] = F
             loglik[out] = log_likelihood(cumulative_totals(F), N, state.p)
-            if S_kept is not None:
-                for j in range(m):
-                    S_kept[j][out] = state.S[j]
             out += 1
 
     rates = [counts / config.iterations for counts in accept_counts]
-    return totals, loglik, rates, S_kept
+    return totals, loglik, rates
 
 
 def run_chain(
-    data: list[PhaseSummary],
-    hyper: Hyperparams,
-    config: SamplerConfig,
-    workers: int = 1,
+    data: list[PhaseSummary], hyper: Hyperparams, config: SamplerConfig
 ) -> PosteriorSummary:
-    """Run the configured number of chains and summarize retained draws.
-
-    Chains use sub-seeds spawned from config.seed, so the result is
-    identical for any worker count.
+    """Run the configured number of chains in turn and summarize the
+    retained draws; chain c uses the c-th sub-seed spawned from
+    config.seed.
     """
     if not data:
         raise ValueError("data must contain at least one phase summary")
@@ -361,23 +350,12 @@ def run_chain(
         raise ValueError("cumulative run counts must be strictly increasing")
     resolved = resolve_for_data(hyper, data)
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-
-    if workers > 1 and config.chains > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _run_single_chain(data, resolved, config, s), seeds))
-    else:
-        results = [_run_single_chain(data, resolved, config, s) for s in seeds]
-
+    results = [_run_single_chain(data, resolved, config, s) for s in seeds]
     draws = np.stack([r[0] for r in results])
     loglik = np.stack([r[1] for r in results])
     acceptance = [
         np.mean([r[2][j] for r in results], axis=0) for j in range(len(data))
     ]
-    S_draws = None
-    if config.retain_S:
-        S_draws = [
-            np.stack([r[3][j] for r in results]) for j in range(len(data))
-        ]
     diag = None
     if config.chains >= 2 and config.n_retained >= 10:
         diag = diagnostics(draws)
@@ -391,7 +369,6 @@ def run_chain(
         burn_in=config.burn_in,
         thin=config.thin,
         seed=config.seed,
-        S_draws=S_draws,
     )
 
 

@@ -177,6 +177,35 @@ class TestFitPipeline:
         assert "phase(s) 2" in err
 
 
+class TestFitConfig:
+    def fit(self, capsys, sample_log, tmp_path, config):
+        path = tmp_path / "hyper.json"
+        path.write_text(json.dumps(config))
+        return run_cli(
+            capsys, "fit", "--data", str(sample_log), "--runs", "40,90", "--iterations", "60",
+            "--burn-in", "10", "--seed", "4", "--config", str(path),
+        )
+
+    def test_per_phase_lists_match_scalars(self, capsys, sample_log, tmp_path):
+        scalar = {"a": 2.0, "b": 3.0, "proposal_rate": 12.0}
+        lists = {key: [[value] * 3, [value]] for key, value in scalar.items()}
+        code, out_scalar, _ = self.fit(capsys, sample_log, tmp_path, scalar)
+        assert code == 0
+        code, out_lists, _ = self.fit(capsys, sample_log, tmp_path, lists)
+        assert code == 0
+        assert json.loads(out_lists)["per_phase"] == json.loads(out_scalar)["per_phase"]
+
+    def test_per_phase_row_of_wrong_length(self, capsys, sample_log, tmp_path):
+        code, _, err = self.fit(capsys, sample_log, tmp_path, {"a": [[1.0, 1.0], [1.0]]})
+        assert code == 1
+        assert "phase 1: expected 3 per-bug values" in err
+
+    def test_du_bound_is_unknown_key(self, capsys, sample_log, tmp_path):
+        code, _, err = self.fit(capsys, sample_log, tmp_path, {"du_bound": 16})
+        assert code == 1
+        assert "du_bound" in err
+
+
 class TestSimulateRoundTrip:
     def test_simulate_then_ingest(self, capsys, tmp_path):
         log_path = tmp_path / "sim.csv"

@@ -247,8 +247,23 @@ class TestResolveForData:
         hyper = resolve_for_data(sample_hyper(2, 0), data)
         assert [row.tolist() for row in hyper.proposal_rate] == [[2.0, 3.0], [1.0]]
         assert hyper.m_weights[0][0].tolist() == [2, 4, 6, 8]
-        assert hyper.du_bound == 6  # three distinct defect ids
         assert hyper.a[0].shape == (2,)
+
+    @pytest.mark.parametrize("name", ["a", "b", "proposal_rate"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0, 2.0, 3.0], [1.0]], "phase 1: expected 2 per-bug values"),
+            ([[1.0, 2.0], []], "phase 2: expected 1 per-bug values"),
+            ([[1.0, 2.0]], "must list one row per phase"),
+        ],
+    )
+    def test_per_bug_rows_of_wrong_shape_rejected(self, name, rows, message):
+        data = [PhaseSummary(1, 5, {1: 2, 2: 3}), PhaseSummary(2, 9, {3: 1})]
+        hyper = sample_hyper(2, 0)
+        setattr(hyper, name, rows)
+        with pytest.raises(ValueError, match=message):
+            resolve_for_data(hyper, data)
 
     def test_phase_count_mismatch(self):
         data = [PhaseSummary(1, 5, {1: 2})]

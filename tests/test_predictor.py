@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bugsize.predictor import (
+    CV_BLOCK_ROWS,
     KdeConfig,
     PhaseEvent,
     cv_score,
@@ -117,6 +118,20 @@ class TestBandwidthSelection:
         phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
         oracle = quad_term - (2 / 2) * (phi1 + phi1)
         assert cv_score(samples, h) == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, CV_BLOCK_ROWS - 1, 3 * CV_BLOCK_ROWS + 17])
+    def test_blocked_cv_matches_dense(self, n):
+        # the reference holds the whole n x n difference matrix at once
+        def dense(x, h):
+            diff = x[:, None] - x[None, :]
+            norm = h * math.sqrt(2.0 * math.pi)
+            quad_term = np.exp(-0.25 * (diff / h) ** 2).sum() / (norm * math.sqrt(2.0)) / n**2
+            kernel = np.exp(-0.5 * (diff / h) ** 2) / norm
+            return quad_term - 2.0 / n * (kernel.sum() - np.trace(kernel)) / (n - 1)
+
+        x = np.random.default_rng(n).gamma(4.0, 50.0, size=n)
+        for h in (5.0, 40.0, 320.0):
+            assert cv_score(x, h) == pytest.approx(dense(x, h), rel=1e-12, abs=0.0)
 
     def test_singleton_grid(self):
         assert select_bandwidth([0.0, 1.0, 2.0], [0.8]) == 0.8

@@ -364,12 +364,6 @@ class TestRunChain:
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.loglik, b.loglik)
 
-    def test_worker_count_does_not_change_draws(self):
-        config = SamplerConfig(chains=2, iterations=200, burn_in=50, thin=2, seed=77)
-        serial = run_chain(_small_data(), flat_hyperparams(2), config, workers=1)
-        threaded = run_chain(_small_data(), flat_hyperparams(2), config, workers=4)
-        assert np.array_equal(serial.draws, threaded.draws)
-
     def test_degenerate_instance_is_constant(self):
         # trial counts equal observed sizes: S has single-point support
         data = [PhaseSummary(1, 9, {1: 2, 2: 3})]
@@ -378,14 +372,6 @@ class TestRunChain:
         config = SamplerConfig(chains=2, iterations=100, burn_in=10, seed=3)
         posterior = run_chain(data, hyper, config)
         assert np.all(posterior.F_draws == 5.0)
-
-    def test_totals_equal_rowsums_of_retained_S(self):
-        config = SamplerConfig(
-            chains=2, iterations=150, burn_in=30, thin=3, seed=5, retain_S=True
-        )
-        posterior = run_chain(_small_data(), flat_hyperparams(2), config)
-        for j, S_draws in enumerate(posterior.S_draws):
-            assert np.array_equal(S_draws.sum(axis=2), posterior.draws[:, :, j])
 
     def test_retained_count(self):
         config = SamplerConfig(chains=1, iterations=103, burn_in=20, thin=7, seed=1)
