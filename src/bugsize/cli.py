@@ -327,26 +327,16 @@ def _cmd_baseline(args) -> dict:
     p0 = float(raw_config["p0"])
     delta = float(raw_config["delta"])
 
-    counts_by_phase: dict[int, dict[int, int]] = {}
-    with open(args.detections, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"phase", "class", "count"}
-        if reader.fieldnames is None or not required <= {f.strip() for f in reader.fieldnames}:
-            raise ingest_mod.SchemaError("detections table needs columns phase, class, count")
-        for row in reader:
-            phase = int(row["phase"])
-            cls = int(row["class"])
-            counts_by_phase.setdefault(phase, {})[cls] = int(row["count"])
-
+    counts_by_phase = ingest_mod.parse_detections(args.detections)
     q_config = raw_config.get("q")
     if q_config is None:
         raise ValueError("baseline config must set 'q' (per-phase detection probabilities)")
+    phases = len(counts_by_phase)
+    if len(q_config) != phases:
+        raise ValueError(f"config 'q' lists {len(q_config)} entries for {phases} phases")
     detections = []
     classes = sorted({cls for counts in counts_by_phase.values() for cls in counts})
-    phases = sorted(counts_by_phase)
-    if phases != list(range(1, len(phases) + 1)):
-        raise ValueError("detection phases must form a contiguous range starting at 1")
-    for phase, q_entry in zip(phases, q_config):
+    for phase, q_entry in zip(counts_by_phase, q_config):
         q_detect = tuple(float(x) for x in q_entry["q_detect"])
         if len(q_detect) != len(classes):
             raise ValueError(f"phase {phase}: expected {len(classes)} class probabilities")
@@ -356,8 +346,6 @@ def _cmd_baseline(args) -> dict:
                 counts=counts, q_detect=q_detect, q_none=float(q_entry["q_none"])
             )
         )
-    if len(detections) != len(phases):
-        raise ValueError("config 'q' must list one entry per detection phase")
 
     state = baseline_mod.initial_state(n_total, p0)
     per_phase = []

@@ -1,9 +1,14 @@
 """Parsing and per-phase aggregation of discrete software testing logs.
 
-Two input shapes are supported: a summary table with one row per
-(cycle, defect) carrying an observed size, and a raw per-input log with
-one row per executed test input, from which sizes and run counts are
-derived by counting.
+Three tables are read: a summary log with one row per (cycle, defect)
+carrying an observed size; a raw per-input log with one row per executed
+test input, from which sizes and run counts are derived by counting; and
+the `phase,class,count` detection table of the `baseline` command. All
+three follow the same rules. The source is a path, bytes, or an open
+text/byte stream. The first non-blank row is the header, whose names are
+trimmed and case-insensitive. The delimiter is a tab if the first
+non-blank line holds one, else a comma, unless one is given. Blank rows
+are skipped, and errors name the physical line and the column.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "SchemaError",
@@ -21,11 +26,13 @@ __all__ = [
     "PhaseSummary",
     "parse_test_log",
     "parse_input_log",
+    "parse_detections",
     "summarize_phases",
     "phase_summary_doc",
 ]
 
 REQUIRED_COLUMNS = ("cycle", "defect_id", "size")
+OPTIONAL_COLUMNS = ("defect_header", "severity")
 
 
 class SchemaError(ValueError):
@@ -90,68 +97,72 @@ class PhaseSummary:
         return sum(self.sizes_by_defect.values())
 
 
-def _read_lines(source) -> list[str]:
+def _rows(
+    source, required: tuple[str, ...], optional: tuple[str, ...] = (), delimiter: str | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, cells)` for each data row of a table, by the rules
+    above: `cells` holds the trimmed values of the `required`, then the
+    `optional` columns ("" where the row or the table has none)."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    return [line for line in text.splitlines() if line.strip()]
-
-
-def _split_header(lines: list[str], delimiter: str | None) -> tuple[list[str], str]:
-    if not lines:
-        raise SchemaError("input has no header row")
+        source = Path(source).read_bytes()
+    text = source if isinstance(source, bytes) else source.read()
+    lines = (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines()
     if delimiter is None:
-        delimiter = "\t" if "\t" in lines[0] else ","
-    header = [cell.strip().lower() for cell in next(csv.reader([lines[0]], delimiter=delimiter))]
-    return header, delimiter
-
-
-def _cell(row: list[str], index: int) -> str:
-    return row[index].strip() if index < len(row) else ""
+        first = next((line for line in lines if line.strip()), "")
+        delimiter = "\t" if "\t" in first else ","
+    reader = csv.reader(lines, delimiter=delimiter)
+    index = None
+    try:
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if index is not None:
+                yield reader.line_num, [row[i].strip() if 0 <= i < len(row) else "" for i in index]
+                continue
+            names = [cell.strip().lower() for cell in row]
+            for column in required:
+                if column not in names:
+                    raise SchemaError(f"missing required column '{column}'")
+            index = [names.index(name) if name in names else -1 for name in required + optional]
+    except csv.Error as exc:
+        raise RowError(f"line {reader.line_num}: {exc}") from None
+    if index is None:
+        raise SchemaError("input has no header row")
 
 
 def _int_cell(raw: str, column: str, line_no: int) -> int:
     try:
-        value = int(raw.strip())
+        return int(raw)
     except ValueError:
         raise RowError(f"line {line_no}: column '{column}' has non-integer value {raw!r}") from None
-    return value
+
+
+def _cycle(raw: str, line_no: int) -> int:
+    cycle = _int_cell(raw, "cycle", line_no)
+    if cycle < 1:
+        raise RowError(f"line {line_no}: cycle must be >= 1, got {cycle}")
+    return cycle
+
+
+def _record(line_no: int, cycle: int, defect_id: int, size: int, extra: list[str]) -> TestLogRecord:
+    """A defect row's record; `extra` holds its `defect_header` (blank reads
+    0) and `severity` (blank reads None) cells."""
+    defect_header, severity = extra
+    header = _int_cell(defect_header, "defect_header", line_no) if defect_header else 0
+    return TestLogRecord(cycle, header, defect_id, size, severity or None)
 
 
 def parse_test_log(source, delimiter: str | None = None) -> list[TestLogRecord]:
     """Parse a summary-style log (one row per logged defect per cycle).
-
-    `source` may be a path, bytes, or an open text/byte stream. The
-    delimiter is auto-detected from the header row (tab or comma) when
-    not given. A header-only input yields an empty list.
-    """
-    lines = _read_lines(source)
-    header, delimiter = _split_header(lines, delimiter)
-    for column in REQUIRED_COLUMNS:
-        if column not in header:
-            raise SchemaError(f"missing required column '{column}'")
-    idx = {name: header.index(name) for name in header}
-
+    A header-only input yields an empty list."""
     records = []
-    for line_no, row in enumerate(csv.reader(lines[1:], delimiter=delimiter), start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        cycle = _int_cell(_cell(row, idx["cycle"]), "cycle", line_no)
-        if cycle < 1:
-            raise RowError(f"line {line_no}: cycle must be >= 1, got {cycle}")
-        size = _int_cell(_cell(row, idx["size"]), "size", line_no)
+    for line_no, cells in _rows(source, REQUIRED_COLUMNS, OPTIONAL_COLUMNS, delimiter):
+        cycle = _cycle(cells[0], line_no)
+        size = _int_cell(cells[2], "size", line_no)
         if size < 0:
             raise RowError(f"line {line_no}: column 'size' is negative ({size})")
-        defect_id = _int_cell(_cell(row, idx["defect_id"]), "defect_id", line_no)
-        header_cell = _cell(row, idx["defect_header"]) if "defect_header" in idx else ""
-        defect_header = int(header_cell) if header_cell else 0
-        severity = (_cell(row, idx["severity"]) or None) if "severity" in idx else None
-        records.append(TestLogRecord(cycle, defect_header, defect_id, size, severity))
+        defect_id = _int_cell(cells[1], "defect_id", line_no)
+        records.append(_record(line_no, cycle, defect_id, size, cells[3:]))
     return records
 
 
@@ -163,34 +174,34 @@ def parse_input_log(source, delimiter: str | None = None) -> tuple[list[TestLogR
     including "no run"-style rows, which are treated as plain non-defect
     rows. Returns the defect records plus per-cycle run counts.
     """
-    lines = _read_lines(source)
-    header, delimiter = _split_header(lines, delimiter)
-    for column in ("cycle", "defect_id"):
-        if column not in header:
-            raise SchemaError(f"missing required column '{column}'")
-    idx = {name: header.index(name) for name in header}
-
     records = []
     run_counts: dict[int, int] = {}
-    for line_no, row in enumerate(csv.reader(lines[1:], delimiter=delimiter), start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        cycle = _int_cell(_cell(row, idx["cycle"]), "cycle", line_no)
-        if cycle < 1:
-            raise RowError(f"line {line_no}: cycle must be >= 1, got {cycle}")
+    for line_no, cells in _rows(source, ("cycle", "defect_id"), OPTIONAL_COLUMNS, delimiter):
+        cycle = _cycle(cells[0], line_no)
         run_counts[cycle] = run_counts.get(cycle, 0) + 1
-        defect_cell = _cell(row, idx["defect_id"])
-        if not defect_cell:
-            continue
-        defect_id = _int_cell(defect_cell, "defect_id", line_no)
-        header_cell = _cell(row, idx["defect_header"]) if "defect_header" in idx else ""
-        defect_header = int(header_cell) if header_cell else 0
-        severity = (_cell(row, idx["severity"]) or None) if "severity" in idx else None
-        records.append(TestLogRecord(cycle, defect_header, defect_id, 1, severity))
+        if cells[1]:
+            defect_id = _int_cell(cells[1], "defect_id", line_no)
+            records.append(_record(line_no, cycle, defect_id, 1, cells[2:]))
 
     n_phases = max(run_counts, default=0)
     runs_per_phase = [run_counts.get(cycle, 0) for cycle in range(1, n_phases + 1)]
     return records, runs_per_phase
+
+
+def parse_detections(source) -> dict[int, dict[int, int]]:
+    """Parse a `phase,class,count` detection table into phase -> class ->
+    count, phases in order. Phases must run 1, 2, ... without a gap, and
+    each (phase, class) pair may appear once."""
+    counts_by_phase: dict[int, dict[int, int]] = {}
+    for line_no, (phase, cls, count) in _rows(source, ("phase", "class", "count")):
+        phase, cls = _int_cell(phase, "phase", line_no), _int_cell(cls, "class", line_no)
+        counts = counts_by_phase.setdefault(phase, {})
+        if cls in counts:
+            raise RowError(f"line {line_no}: phase {phase}, class {cls} is listed twice")
+        counts[cls] = _int_cell(count, "count", line_no)
+    if sorted(counts_by_phase) != list(range(1, len(counts_by_phase) + 1)):
+        raise ValueError("detection phases must form a contiguous range starting at 1")
+    return dict(sorted(counts_by_phase.items()))
 
 
 def summarize_phases(
@@ -205,11 +216,11 @@ def summarize_phases(
     runs = list(runs_per_phase)
     if not runs:
         raise ValueError("runs_per_phase must not be empty")
-    for value in runs:
+    for phase, value in enumerate(runs, start=1):
         if int(value) != value or value < 1:
             raise ValueError(
-                f"runs_per_phase entries must be positive integers so cumulative "
-                f"runs increase strictly; got {value}"
+                f"phase {phase} has {value} runs; runs_per_phase entries must be positive "
+                f"integers so cumulative runs increase strictly"
             )
 
     per_phase: list[dict[int, int]] = [dict() for _ in runs]

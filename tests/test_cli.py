@@ -302,6 +302,74 @@ class TestBaselineCommand:
         assert "n_total" in err
 
 
+class TestIngestBadInput:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cycle,defect_header,defect_id,size\n1,x,7,13\n", "line 2: column 'defect_header'"),
+            ("cycle,defect_id,size\n\n1,7," + "9" * 200_000 + "\n", "line 3: field larger"),
+        ],
+        ids=["defect_header", "oversized"],
+    )
+    def test_bad_cell_exits_1_with_line(self, capsys, tmp_path, text, message):
+        log = tmp_path / "log.csv"
+        log.write_text(text)
+        code, out, err = run_cli(capsys, "ingest", "--data", str(log), "--runs", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_per_input_phase_without_runs_named(self, capsys, tmp_path):
+        log = tmp_path / "inputs.csv"
+        log.write_text("cycle,defect_id\n1,3\n1,\n3,4\n")
+        code, _, err = run_cli(capsys, "ingest", "--data", str(log), "--per-input")
+        assert code == 1
+        assert "phase 2" in err
+
+
+class TestDetectionTable:
+    Q = {"q_detect": [0.5], "q_none": 0.5}
+
+    def run_baseline(self, capsys, tmp_path, table, phases=2):
+        detections = tmp_path / "detections.csv"
+        detections.write_text(table)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [self.Q] * phases})
+        )
+        return run_cli(
+            capsys, "baseline", "--detections", str(detections), "--config", str(config)
+        )
+
+    @pytest.mark.parametrize(
+        "table",
+        [" phase , Class,COUNT\n1,1,5\n2,1,5\n", "phase\tclass\tcount\n\n1\t1\t5\n2\t1\t5\n"],
+    )
+    def test_header_rules_shared(self, capsys, tmp_path, table):
+        code, out, _ = self.run_baseline(capsys, tmp_path, table)
+        assert code == 0
+        _, plain, _ = self.run_baseline(capsys, tmp_path, "phase,class,count\n1,1,5\n2,1,5\n")
+        report, plain_report = json.loads(out), json.loads(plain)
+        for key in ("per_phase", "stopping_phase"):
+            assert report[key] == plain_report[key]
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("phase,class,count\n1,1,5\n2,1,x\n", "line 3: column 'count'"),
+            ("phase,class,count\n1,1,5\n2,1,5\n\n2,1,6\n", "line 5: phase 2, class 1"),
+        ],
+    )
+    def test_bad_rows_exit_1_with_line(self, capsys, tmp_path, table, message):
+        code, _, err = self.run_baseline(capsys, tmp_path, table)
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+
+    def test_q_longer_than_phases_rejected(self, capsys, tmp_path):
+        code, _, err = self.run_baseline(capsys, tmp_path, "phase,class,count\n1,1,5\n", phases=2)
+        assert code == 1
+        assert "2 entries for 1 phases" in err
+
+
 class TestPredictFromTotals:
     def test_fixed_bandwidth(self, capsys):
         code, out, _ = run_cli(

@@ -8,6 +8,7 @@ from bugsize.ingest import (
     RowError,
     SchemaError,
     TestLogRecord as LogRecord,
+    parse_detections,
     parse_input_log,
     parse_test_log,
     phase_summary_doc,
@@ -179,3 +180,124 @@ def test_phase_summary_doc_schema():
     doc = phase_summary_doc(summaries)
     assert list(doc["phases"][0]) == ["phase", "runs_cumulative", "distinct_bugs", "sizes"]
     assert doc["phases"][1]["sizes"] == [18]
+
+
+def test_bad_cell_line_counts_blank_lines():
+    text = "cycle,defect_id,size\n\n1,7,13\n\n2,8,oops\n"
+    with pytest.raises(RowError, match="^line 5: column 'size'"):
+        parse_test_log(io.StringIO(text))
+
+
+def test_bad_defect_header_is_row_error():
+    text = "cycle,defect_header,defect_id,size\n1,x,7,13\n"
+    with pytest.raises(RowError, match="^line 2: column 'defect_header' has non-integer value 'x'"):
+        parse_test_log(io.StringIO(text))
+
+
+def test_oversized_cell_is_row_error():
+    text = "cycle,defect_id,size\n1,7,13\n1,8," + "9" * 200_000 + "\n"
+    with pytest.raises(RowError, match="^line 3: .*field limit"):
+        parse_test_log(text.encode())
+
+
+def test_header_names_trimmed_and_case_insensitive():
+    text = "\n , \n Cycle ,DEFECT_ID, Size\n1,7,13\n"
+    assert parse_test_log(io.StringIO(text)) == [LogRecord(1, 0, 7, 13)]
+
+
+LOG_COLUMNS = ("cycle", "defect_header", "defect_id", "size", "severity")
+
+
+def _write_log(records, delimiter, newline, blanks_before, blank_line):
+    """Write `records` as a log with `blanks_before[i]` blank lines ahead of
+    row i (the header is row 0); return the text and each record's line."""
+    lines, record_lines = [], []
+    rows = [list(LOG_COLUMNS)] + [
+        [str(r.cycle), str(r.defect_header), str(r.defect_id), str(r.size), r.severity or ""]
+        for r in records
+    ]
+    for row, blanks in zip(rows, blanks_before):
+        lines.extend([blank_line] * blanks)
+        lines.append(delimiter.join(row))
+        record_lines.append(len(lines))
+    return newline.join(lines) + newline, record_lines[1:]
+
+
+round_trip_record = st.builds(
+    LogRecord,
+    cycle=st.integers(min_value=1, max_value=4),
+    defect_header=st.integers(min_value=0, max_value=50),
+    defect_id=st.integers(min_value=1, max_value=12),
+    size=st.integers(min_value=0, max_value=40),
+    severity=st.sampled_from([None, "minor", "complex"]),
+)
+
+
+@settings(max_examples=80)
+@given(
+    records=st.lists(round_trip_record, min_size=1, max_size=15),
+    delimiter=st.sampled_from([",", "\t"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blank_line=st.sampled_from(["", "   ", " \t ", None]),
+    data=st.data(),
+)
+def test_summary_log_round_trip(records, delimiter, newline, blank_line, data):
+    rows = len(records) + 1
+    blanks = data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    blank_line = delimiter * 2 if blank_line is None else blank_line
+    text, record_lines = _write_log(records, delimiter, newline, blanks, blank_line)
+    assert parse_test_log(text.encode()) == records
+
+    row = data.draw(st.integers(0, len(records) - 1))
+    column = data.draw(st.sampled_from(["cycle", "defect_header", "defect_id", "size"]))
+    lines = text.split(newline)
+    cells = lines[record_lines[row] - 1].split(delimiter)
+    cells[LOG_COLUMNS.index(column)] = "1.5"
+    lines[record_lines[row] - 1] = delimiter.join(cells)
+    with pytest.raises(RowError, match=f"^line {record_lines[row]}: column '{column}'"):
+        parse_test_log(io.StringIO(newline.join(lines)))
+
+
+def test_per_input_log_matches_summary_log():
+    records = parse_test_log(SAMPLE_LOG.encode())
+    lines = ["cycle,result,defect_header,defect_id"]
+    for cycle, runs in enumerate(SYNTHETIC_RUNS, start=1):
+        defect_rows = [r for r in records if r.cycle == cycle]
+        for r in defect_rows:
+            lines += [f"{cycle},fail,{r.defect_header},{r.defect_id}"] * r.size
+        lines += [f"{cycle},executed successfully,,"] * (runs - sum(r.size for r in defect_rows))
+    per_input, per_input_runs = parse_input_log("\n".join(lines).encode())
+    assert per_input_runs == SYNTHETIC_RUNS
+    from_inputs = summarize_phases(per_input, per_input_runs)
+    from_summary = summarize_phases(records, SYNTHETIC_RUNS)
+    assert from_inputs == from_summary
+    assert phase_summary_doc(from_inputs) == phase_summary_doc(from_summary)
+
+
+def test_summarize_names_phase_with_no_runs():
+    records, runs = parse_input_log(io.StringIO("cycle,defect_id\n1,3\n3,4\n"))
+    assert runs == [1, 0, 1]
+    with pytest.raises(ValueError, match="phase 2 .*strictly"):
+        summarize_phases(records, runs)
+
+
+def test_parse_detections():
+    text = "phase\tclass\tcount\n2\t1\t4\n\n1\t2\t3\n1\t1\t5\n"
+    assert parse_detections(io.StringIO(text)) == {1: {2: 3, 1: 5}, 2: {1: 4}}
+    assert list(parse_detections(io.StringIO(text))) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("phase,count\n1,5\n", SchemaError, "'class'"),
+        ("phase,class,count\n1,1,5\n1,1,6\n", RowError, "^line 3: phase 1, class 1 is listed"),
+        ("phase,class,count\n1,1,five\n", RowError, "^line 2: column 'count'"),
+        ("phase,class,count\n1,x,5\n", RowError, "^line 2: column 'class'"),
+        ("phase,class,count\n\n1.0,1,5\n", RowError, "^line 3: column 'phase'"),
+        ("phase,class,count\n1,1,5\n3,1,5\n", ValueError, "contiguous"),
+    ],
+)
+def test_parse_detections_rejects(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_detections(io.StringIO(text))
