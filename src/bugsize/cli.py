@@ -331,12 +331,16 @@ def _cmd_baseline(args) -> dict:
     q_config = raw_config.get("q")
     if q_config is None:
         raise ValueError("baseline config must set 'q' (per-phase detection probabilities)")
+    if not isinstance(q_config, list):
+        raise ValueError("config 'q' must be a list with one object per phase")
     phases = len(counts_by_phase)
     if len(q_config) != phases:
         raise ValueError(f"config 'q' lists {len(q_config)} entries for {phases} phases")
     detections = []
     classes = sorted({cls for counts in counts_by_phase.values() for cls in counts})
     for phase, q_entry in zip(counts_by_phase, q_config):
+        if not isinstance(q_entry, dict):
+            raise ValueError(f"config 'q' entry for phase {phase} must be an object")
         q_detect = tuple(float(x) for x in q_entry["q_detect"])
         if len(q_detect) != len(classes):
             raise ValueError(f"phase {phase}: expected {len(classes)} class probabilities")

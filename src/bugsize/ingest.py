@@ -5,7 +5,8 @@ carrying an observed size; a raw per-input log with one row per executed
 test input, from which sizes and run counts are derived by counting; and
 the `phase,class,count` detection table of the `baseline` command. All
 three follow the same rules. The source is a path, bytes, or an open
-text/byte stream. The first non-blank row is the header, whose names are
+text/byte stream, and bytes are read as UTF-8 with an optional byte-order
+mark. The first non-blank row is the header, whose names are
 trimmed and case-insensitive. The delimiter is a tab if the first
 non-blank line holds one, else a comma, unless one is given. Blank rows
 are skipped, and errors name the physical line and the column.
@@ -14,6 +15,8 @@ are skipped, and errors name the physical line and the column.
 from __future__ import annotations
 
 import csv
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 REQUIRED_COLUMNS = ("cycle", "defect_id", "size")
+INPUT_COLUMNS = ("cycle", "defect_id")
 OPTIONAL_COLUMNS = ("defect_header", "severity")
 
 
@@ -97,37 +101,72 @@ class PhaseSummary:
         return sum(self.sizes_by_defect.values())
 
 
-def _rows(
-    source, required: tuple[str, ...], optional: tuple[str, ...] = (), delimiter: str | None = None
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield `(line, cells)` for each data row of a table, by the rules
-    above: `cells` holds the trimmed values of the `required`, then the
-    `optional` columns ("" where the row or the table has none)."""
+def _lines(source) -> list[str]:
+    """The lines of a table given as a path, bytes or an open stream."""
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()
     text = source if isinstance(source, bytes) else source.read()
-    lines = (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines()
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first header name
+    return (text.decode("utf-8-sig") if isinstance(text, bytes) else text).splitlines()
+
+
+@contextmanager
+def _csv_errors(reader):
+    """Report a malformed row (such as an oversized cell) as a RowError
+    naming the reader's current line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise RowError(f"line {reader.line_num}: {exc}") from None
+
+
+def _table(
+    lines: list[str], required: tuple[str, ...], optional: tuple[str, ...], delimiter: str | None
+) -> tuple[Iterator[list[str]], list[int]]:
+    """Read a table's header by the rules above.  Returns the csv reader,
+    positioned after the header, and each of the `required`, then the
+    `optional`, columns' index in a row (-1 where the table has none)."""
     if delimiter is None:
         first = next((line for line in lines if line.strip()), "")
         delimiter = "\t" if "\t" in first else ","
     reader = csv.reader(lines, delimiter=delimiter)
-    index = None
-    try:
+    with _csv_errors(reader):
         for row in reader:
-            if not "".join(row).strip():
-                continue
-            if index is not None:
-                yield reader.line_num, [row[i].strip() if 0 <= i < len(row) else "" for i in index]
+            if _blank(row):
                 continue
             names = [cell.strip().lower() for cell in row]
             for column in required:
                 if column not in names:
                     raise SchemaError(f"missing required column '{column}'")
             index = [names.index(name) if name in names else -1 for name in required + optional]
-    except csv.Error as exc:
-        raise RowError(f"line {reader.line_num}: {exc}") from None
-    if index is None:
-        raise SchemaError("input has no header row")
+            return reader, index
+    raise SchemaError("input has no header row")
+
+
+def _blank(row) -> bool:
+    return not "".join(row).strip()
+
+
+def _cells(row, index: list[int]) -> list[str]:
+    """A data row's trimmed cells in `index` order ("" where the row is
+    short or the table lacks the column)."""
+    return [row[i].strip() if 0 <= i < len(row) else "" for i in index]
+
+
+def _rows(
+    lines: list[str],
+    required: tuple[str, ...],
+    optional: tuple[str, ...] = (),
+    delimiter: str | None = None,
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, cells)` for each non-blank data row of a table, with
+    `cells` as `_cells` gives them."""
+    reader, index = _table(lines, required, optional, delimiter)
+    with _csv_errors(reader):
+        for row in reader:
+            if not _blank(row):
+                yield reader.line_num, _cells(row, index)
 
 
 def _int_cell(raw: str, column: str, line_no: int) -> int:
@@ -156,7 +195,7 @@ def parse_test_log(source, delimiter: str | None = None) -> list[TestLogRecord]:
     """Parse a summary-style log (one row per logged defect per cycle).
     A header-only input yields an empty list."""
     records = []
-    for line_no, cells in _rows(source, REQUIRED_COLUMNS, OPTIONAL_COLUMNS, delimiter):
+    for line_no, cells in _rows(_lines(source), REQUIRED_COLUMNS, OPTIONAL_COLUMNS, delimiter):
         cycle = _cycle(cells[0], line_no)
         size = _int_cell(cells[2], "size", line_no)
         if size < 0:
@@ -166,6 +205,16 @@ def parse_test_log(source, delimiter: str | None = None) -> list[TestLogRecord]:
     return records
 
 
+def _input_row(line_no: int, cells: list[str], count: int) -> tuple[int, TestLogRecord | None]:
+    """A per-input row's cycle, and its defect record of size `count` (None
+    for a row without a defect id)."""
+    cycle = _cycle(cells[0], line_no)
+    if not cells[1]:
+        return cycle, None
+    defect_id = _int_cell(cells[1], "defect_id", line_no)
+    return cycle, _record(line_no, cycle, defect_id, count, cells[2:])
+
+
 def parse_input_log(source, delimiter: str | None = None) -> tuple[list[TestLogRecord], list[int]]:
     """Parse a raw per-input log (one row per executed test input).
 
@@ -173,19 +222,37 @@ def parse_input_log(source, delimiter: str | None = None) -> tuple[list[TestLogR
     observed size; every row counts toward the cycle's run total,
     including "no run"-style rows, which are treated as plain non-defect
     rows. Returns the defect records plus per-cycle run counts.
+
+    Identical rows are counted before any is parsed, so the parsing cost
+    grows with the number of distinct rows, not of rows: each distinct
+    defect row gives one record, in first-appearance order, whose size is
+    the row's count.  A bad row is reported at the first physical line
+    that holds it.
     """
+    lines = _lines(source)
+    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS, delimiter)
     records = []
     run_counts: dict[int, int] = {}
-    for line_no, cells in _rows(source, ("cycle", "defect_id"), OPTIONAL_COLUMNS, delimiter):
-        cycle = _cycle(cells[0], line_no)
-        run_counts[cycle] = run_counts.get(cycle, 0) + 1
-        if cells[1]:
-            defect_id = _int_cell(cells[1], "defect_id", line_no)
-            records.append(_record(line_no, cycle, defect_id, 1, cells[2:]))
-
-    n_phases = max(run_counts, default=0)
-    runs_per_phase = [run_counts.get(cycle, 0) for cycle in range(1, n_phases + 1)]
-    return records, runs_per_phase
+    try:
+        for row, count in Counter(map(tuple, reader)).items():
+            if _blank(row):
+                continue
+            # line 0 stands in until the error path below finds the line
+            cycle, record = _input_row(0, _cells(row, index), count)
+            run_counts[cycle] = run_counts.get(cycle, 0) + count
+            if record is not None:
+                records.append(record)
+    except (csv.Error, RowError) as exc:
+        error = exc
+    else:
+        n_phases = max(run_counts, default=0)
+        return records, [run_counts.get(cycle, 0) for cycle in range(1, n_phases + 1)]
+    # The counted pass cannot tell which line a bad row is on.  The same
+    # checks made row by row raise the error of the first bad physical
+    # line, or the csv error if no bad row comes before it.
+    for line_no, cells in _rows(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS, delimiter):
+        _input_row(line_no, cells, 1)
+    raise error
 
 
 def parse_detections(source) -> dict[int, dict[int, int]]:
@@ -193,7 +260,7 @@ def parse_detections(source) -> dict[int, dict[int, int]]:
     count, phases in order. Phases must run 1, 2, ... without a gap, and
     each (phase, class) pair may appear once."""
     counts_by_phase: dict[int, dict[int, int]] = {}
-    for line_no, (phase, cls, count) in _rows(source, ("phase", "class", "count")):
+    for line_no, (phase, cls, count) in _rows(_lines(source), ("phase", "class", "count")):
         phase, cls = _int_cell(phase, "phase", line_no), _int_cell(cls, "class", line_no)
         counts = counts_by_phase.setdefault(phase, {})
         if cls in counts:

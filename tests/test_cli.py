@@ -103,6 +103,39 @@ class TestIngest:
         assert code == 1
         assert "--runs" in err
 
+    def test_paper_scale_per_input_log(self, capsys, tmp_path):
+        # 200 000 executed inputs over three phases, with tens of thousands
+        # of defect rows per phase split over a few bugs each
+        runs = (60_000, 64_000, 76_000)
+        bug_sizes = (
+            (6_000, 3_500, 2_000, 500),
+            (5_000, 4_000, 1_500, 400, 100),
+            (12_000, 9_000, 4_000, 2_000, 600, 400),
+        )
+        rng = np.random.default_rng(11)
+        lines, expected_sizes, defect_id = ["cycle,result,defect_id"], [], 0
+        for cycle, (phase_runs, sizes) in enumerate(zip(runs, bug_sizes), start=1):
+            ids = np.arange(defect_id + 1, defect_id + len(sizes) + 1)
+            defect_id += len(sizes)
+            column = np.zeros(phase_runs, dtype=np.int64)
+            column[: sum(sizes)] = np.repeat(ids, sizes)
+            rng.shuffle(column)
+            # the report lists a phase's sizes in the order the bugs first appear
+            found, first = np.unique(column, return_index=True)
+            size_of = dict(zip(ids.tolist(), sizes))
+            expected_sizes.append([size_of[i] for i in found[np.argsort(first)].tolist() if i])
+            text = {i: f"{cycle},fail,{i}" for i in ids.tolist()}
+            text[0] = f"{cycle},pass,"
+            lines += [text[i] for i in column.tolist()]
+        log = tmp_path / "inputs.csv"
+        log.write_text("\n".join(lines) + "\n")
+
+        code, out, err = run_cli(capsys, "ingest", "--data", str(log), "--per-input")
+        assert code == 0, err
+        phases = json.loads(out)["phases"]
+        assert [row["sizes"] for row in phases] == expected_sizes
+        assert [row["runs_cumulative"] for row in phases] == np.cumsum(runs).tolist()
+
 
 class TestFitPipeline:
     def fit_args(self, log_path, out_path, extra=()):
@@ -329,13 +362,12 @@ class TestIngestBadInput:
 class TestDetectionTable:
     Q = {"q_detect": [0.5], "q_none": 0.5}
 
-    def run_baseline(self, capsys, tmp_path, table, phases=2):
+    def run_baseline(self, capsys, tmp_path, table, phases=2, q=None):
         detections = tmp_path / "detections.csv"
         detections.write_text(table)
         config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [self.Q] * phases})
-        )
+        q = [self.Q] * phases if q is None else q
+        config.write_text(json.dumps({"n_total": 10, "p0": 0.5, "delta": 0.3, "q": q}))
         return run_cli(
             capsys, "baseline", "--detections", str(detections), "--config", str(config)
         )
@@ -368,6 +400,20 @@ class TestDetectionTable:
         code, _, err = self.run_baseline(capsys, tmp_path, "phase,class,count\n1,1,5\n", phases=2)
         assert code == 1
         assert "2 entries for 1 phases" in err
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ({"q_detect": [0.5], "q_none": 0.5}, "config 'q' must be a list"),
+            ([Q, [0.5, 0.5]], "config 'q' entry for phase 2 must be an object"),
+        ],
+        ids=["object", "list-entry"],
+    )
+    def test_q_of_wrong_type_exits_1(self, capsys, tmp_path, q, message):
+        table = "phase,class,count\n1,1,5\n2,1,5\n"
+        code, out, err = self.run_baseline(capsys, tmp_path, table, q=q)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestPredictFromTotals:

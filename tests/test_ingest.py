@@ -1,9 +1,11 @@
+import codecs
 import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugsize import ingest
 from bugsize.ingest import (
     RowError,
     SchemaError,
@@ -301,3 +303,92 @@ def test_parse_detections():
 def test_parse_detections_rejects(text, error, message):
     with pytest.raises(error, match=message):
         parse_detections(io.StringIO(text))
+
+
+@pytest.mark.parametrize("parse", [parse_test_log, parse_input_log])
+def test_byte_order_mark_is_dropped(parse, tmp_path):
+    text = "cycle,defect_id,size\n1,7,13\n"
+    path = tmp_path / "log.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert parse(path) == parse(text.encode())
+
+
+def _reference_input_log(source):
+    """The per-input log parsed row by row: one size-1 record per defect row."""
+    records, run_counts = [], {}
+    lines = ingest._lines(source)
+    for line_no, cells in ingest._rows(lines, ingest.INPUT_COLUMNS, ingest.OPTIONAL_COLUMNS):
+        cycle = ingest._cycle(cells[0], line_no)
+        run_counts[cycle] = run_counts.get(cycle, 0) + 1
+        if cells[1]:
+            defect_id = ingest._int_cell(cells[1], "defect_id", line_no)
+            records.append(ingest._record(line_no, cycle, defect_id, 1, cells[2:]))
+    return records, [run_counts.get(cycle, 0) for cycle in range(1, max(run_counts, default=0) + 1)]
+
+
+def _outcome(parse, text):
+    """What a parse of `text` reports: its phase summaries and run counts,
+    or its error."""
+    try:
+        records, runs = parse(text.encode())
+    except RowError as exc:
+        return "error", str(exc)
+    return phase_summary_doc(summarize_phases(records, runs)), runs
+
+
+# cycle, defect id (None for a plain row), defect_header, severity, and how
+# the defect id is padded: padded ids are distinct rows but the same defect
+input_row = st.tuples(
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.integers(0, 2),
+    st.sampled_from(["", "minor", "complex"]),
+    st.sampled_from(["{}", " {}", "{} ", " {} "]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(st.one_of(input_row, st.sampled_from(["", "   ", " \t ", None])), max_size=40),
+    extra=st.sets(st.sampled_from(["defect_header", "severity", "result"])),
+    delimiter=st.sampled_from([",", "\t"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    data=st.data(),
+)
+def test_counted_input_log_matches_row_by_row(rows, extra, delimiter, newline, data):
+    header = data.draw(st.permutations(["cycle", "defect_id", *sorted(extra)]))
+    # one plain row per cycle, so that every phase has runs
+    rows = data.draw(st.permutations(rows + [(c, None, 0, "", "{}") for c in (1, 2, 3)]))
+
+    def line(row):
+        if not isinstance(row, tuple):
+            return delimiter * 2 if row is None else row
+        cycle, defect_id, defect_header, severity, pad = row
+        cells = {
+            "cycle": str(cycle),
+            "defect_id": "" if defect_id is None else pad.format(defect_id),
+            "defect_header": str(defect_header),
+            "severity": severity,
+            "result": "ok" if defect_id is None else "fail",
+        }
+        return delimiter.join(cells[name] for name in header)
+
+    lines = [delimiter.join(header)] + [line(row) for row in rows]
+    text = newline.join(lines) + newline
+    expected = _outcome(_reference_input_log, text)
+    assert expected[0] != "error"
+    assert _outcome(parse_input_log, text) == expected
+
+    # corrupt one cell of a data row; the error, if any, names the same line
+    data_lines = [i for i, row in enumerate(rows, start=1) if isinstance(row, tuple)]
+    bad = data.draw(st.sampled_from(data_lines))
+    cells = lines[bad].split(delimiter)
+    column = data.draw(st.integers(0, len(header) - 1))
+    cells[column] = data.draw(st.sampled_from(["1.5", "0", "x"]))
+    lines[bad] = delimiter.join(cells)
+    if data.draw(st.booleans()):
+        # an oversized cell after the bad row loses to it
+        oversized = delimiter.join("9" * 200_000 if name == "defect_id" else "1" for name in header)
+        lines.insert(data.draw(st.integers(bad + 1, len(lines))), oversized)
+    text = newline.join(lines) + newline
+    assert _outcome(parse_input_log, text) == _outcome(_reference_input_log, text)

@@ -120,7 +120,8 @@ class TestBandwidthSelection:
         assert cv_score(samples, h) == pytest.approx(oracle, abs=1e-6)
 
     @pytest.mark.parametrize("n", [2, CV_BLOCK_ROWS - 1, 3 * CV_BLOCK_ROWS + 17])
-    def test_blocked_cv_matches_dense(self, n):
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_blocked_cv_matches_dense(self, n, ties):
         # the reference holds the whole n x n difference matrix at once
         def dense(x, h):
             diff = x[:, None] - x[None, :]
@@ -130,8 +131,15 @@ class TestBandwidthSelection:
             return quad_term - 2.0 / n * (kernel.sum() - np.trace(kernel)) / (n - 1)
 
         x = np.random.default_rng(n).gamma(4.0, 50.0, size=n)
-        for h in (5.0, 40.0, 320.0):
-            assert cv_score(x, h) == pytest.approx(dense(x, h), rel=1e-12, abs=0.0)
+        if ties:
+            # integer totals, as posterior draws of F are: the 401 draws take
+            # 156 distinct values, more than CV_BLOCK_ROWS
+            x = np.floor(x / 2.0)
+        grid = (0.5, 1.0, 5.0, 40.0, 80.0, 320.0)
+        scores = [dense(x, h) for h in grid]
+        for h, score in zip(grid, scores):
+            assert cv_score(x, h) == pytest.approx(score, rel=1e-12, abs=0.0)
+        assert select_bandwidth(x, grid) == grid[int(np.argmin(scores))]
 
     def test_singleton_grid(self):
         assert select_bandwidth([0.0, 1.0, 2.0], [0.8]) == 0.8
