@@ -5,8 +5,7 @@ stop-testing decision rule.
 The public names below are loaded lazily (PEP 562): `import bugsize`
 imports no submodule, and `bugsize.run_chain`, `from bugsize import
 run_chain` or `bugsize.sampler` imports only the submodule that defines
-the name.  Each CLI command thus loads only what it runs; numpy and
-scipy.special together take about 0.4 s to import.
+the name.  Each CLI command thus loads only what it runs.
 """
 
 from importlib import import_module

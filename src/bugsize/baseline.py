@@ -169,8 +169,6 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
     prior on the number of faults present entering the phase; this is
     exactly the normalizer of the posterior recursion.
     """
-    from scipy.special import logsumexp  # deferred: see model.binomial_pmf
-
     pool = state.remaining_pool
     total = detection.total
     if total > pool:
@@ -188,9 +186,10 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
         log_mn = lgamma(total + v + 1) - counts_norm - lgamma(v + 1) + fixed
         log_mn += v * log(detection.q_none) if v else 0.0
         terms.append(math.log(prior) + log_mn)
-    if not terms:
+    top = max(terms, default=-math.inf)
+    if top == -math.inf:
         return -math.inf
-    return float(logsumexp(terms))
+    return top + math.log(math.fsum(math.exp(term - top) for term in terms))
 
 
 @dataclass(frozen=True)
@@ -213,8 +212,6 @@ class ComparisonReport:
     win_fraction: float
     relative_mse_size_biased: float
     relative_mse_baseline: float
-    log_bayes_factor_mean: float
-    log_bayes_factor_median: float
     seed: int
 
     def as_doc(self) -> dict:
@@ -225,11 +222,6 @@ class ComparisonReport:
             "win_fraction": self.win_fraction,
             "relative_mse_size_biased": self.relative_mse_size_biased,
             "relative_mse_baseline": self.relative_mse_baseline,
-            "bayes_factor_summary": {
-                "log_bf_mean": self.log_bayes_factor_mean,
-                "log_bf_median": self.log_bayes_factor_median,
-                "estimator": "harmonic-mean over retained draws (approximate)",
-            },
             "seed": self.seed,
         }
 
@@ -246,13 +238,6 @@ def _wins(errors_a: list[float], errors_b: list[float]) -> float:
     return score / len(errors_a)
 
 
-def _harmonic_mean_log_ml(loglik: np.ndarray) -> float:
-    from scipy.special import logsumexp
-
-    flat = loglik.reshape(-1)
-    return float(math.log(flat.size) - logsumexp(-flat))
-
-
 def compare_models(
     scenario: ScenarioConfig,
     trials: int,
@@ -267,16 +252,14 @@ def compare_models(
     observed).  Both models receive their structural knowns: the
     detection-count model gets the true fault count, the size-biased fit
     gets the true trial counts and a detection-rate prior matched to the
-    scenario.  Bayes factors are reported separately and are
-    approximate: the size-biased evidence uses the harmonic-mean
-    estimator and the two models describe different views of the data.
+    scenario.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     comparison = comparison or ComparisonConfig()
     trial_seeds = np.random.SeedSequence(seed).spawn(trials)
 
-    errors_sized, errors_base, log_bfs, truths = [], [], [], []
+    errors_sized, errors_base, truths = [], [], []
     skipped = 0
     for child in trial_seeds:
         trial_seed = int(child.generate_state(1, dtype=np.uint64)[0])
@@ -309,7 +292,6 @@ def compare_models(
 
             n_total = int(sum(trial_scenario.bugs_per_phase))
             state = initial_state(n_total, comparison.p0)
-            log_evidence_base = 0.0
             detected = 0
             for summary in summaries:
                 detection = PhaseDetection(
@@ -317,7 +299,6 @@ def compare_models(
                     q_detect=(comparison.q_detect,),
                     q_none=1.0 - comparison.q_detect,
                 )
-                log_evidence_base += phase_log_evidence(state, detection)
                 state = baseline_update(state, detection)
                 detected += summary.distinct_bugs
             mean_size = observed_total / detected if detected else 0.0
@@ -329,7 +310,6 @@ def compare_models(
         errors_sized.append((predicted_sized - truth_remaining) ** 2)
         errors_base.append((predicted_base - truth_remaining) ** 2)
         truths.append(truth_remaining)
-        log_bfs.append(_harmonic_mean_log_ml(posterior.loglik) - log_evidence_base)
 
     if not errors_sized:
         raise RuntimeError("every comparison trial was skipped")
@@ -345,7 +325,5 @@ def compare_models(
         win_fraction=_wins(errors_sized, errors_base),
         relative_mse_size_biased=float(np.mean(errors_sized)) / truth_scale,
         relative_mse_baseline=float(np.mean(errors_base)) / truth_scale,
-        log_bayes_factor_mean=float(np.mean(log_bfs)),
-        log_bayes_factor_median=float(np.median(log_bfs)),
         seed=seed,
     )

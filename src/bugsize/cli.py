@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Only ingest is imported here; every handler imports the modules it runs,
-# so ingest and decide never load numpy and only simulate and compare load
-# scipy.  Handlers call through the module (sampler_mod.run_chain) so that a
-# tracer patching the module attribute sees the call.
+# so ingest and decide never load numpy.  Handlers call through the module
+# (sampler_mod.run_chain) so that a tracer patching the module attribute
+# sees the call.
 from . import ingest as ingest_mod
 
 if TYPE_CHECKING:
@@ -66,6 +66,14 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ValueError("config document must hold a JSON object")
     return raw
+
+
+def _config_number(value, name: str, integer: bool = False):
+    """A config value that must be a JSON number (an integer if asked)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 def _parse_number_list(text: str, flag: str) -> list[float]:
@@ -323,9 +331,9 @@ def _cmd_baseline(args) -> dict:
     for key in ("n_total", "p0", "delta"):
         if key not in raw_config:
             raise ValueError(f"baseline config must set '{key}'")
-    n_total = int(raw_config["n_total"])
-    p0 = float(raw_config["p0"])
-    delta = float(raw_config["delta"])
+    n_total = _config_number(raw_config["n_total"], "config 'n_total'", integer=True)
+    p0 = float(_config_number(raw_config["p0"], "config 'p0'"))
+    delta = float(_config_number(raw_config["delta"], "config 'delta'"))
 
     counts_by_phase = ingest_mod.parse_detections(args.detections)
     q_config = raw_config.get("q")
@@ -339,15 +347,22 @@ def _cmd_baseline(args) -> dict:
     detections = []
     classes = sorted({cls for counts in counts_by_phase.values() for cls in counts})
     for phase, q_entry in zip(counts_by_phase, q_config):
+        where = f"config 'q' entry for phase {phase}"
         if not isinstance(q_entry, dict):
-            raise ValueError(f"config 'q' entry for phase {phase} must be an object")
-        q_detect = tuple(float(x) for x in q_entry["q_detect"])
+            raise ValueError(f"{where} must be an object")
+        if not isinstance(q_entry["q_detect"], list):
+            raise ValueError(f"{where}: 'q_detect' must be a list of numbers")
+        q_detect = tuple(
+            float(_config_number(x, f"{where}: 'q_detect' value")) for x in q_entry["q_detect"]
+        )
         if len(q_detect) != len(classes):
             raise ValueError(f"phase {phase}: expected {len(classes)} class probabilities")
         counts = tuple(counts_by_phase[phase].get(cls, 0) for cls in classes)
         detections.append(
             baseline_mod.PhaseDetection(
-                counts=counts, q_detect=q_detect, q_none=float(q_entry["q_none"])
+                counts=counts,
+                q_detect=q_detect,
+                q_none=float(_config_number(q_entry["q_none"], f"{where}: 'q_none'")),
             )
         )
 

@@ -99,18 +99,15 @@ def binomial_pmf(n: int, t: float) -> DiscretePmf:
         raise ValueError("n must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    # Deferred: scipy.special takes about a quarter second to import, and
-    # only the commands that simulate (simulate, compare) build a pmf.
-    from scipy.special import gammaln
-
     support = np.arange(n + 1)
     if t in (0.0, 1.0):
         mass = (support == (0 if t == 0.0 else n)).astype(float)
         return DiscretePmf(support, mass)
+    log_factorial = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)
     log_mass = (
-        gammaln(n + 1.0)
-        - gammaln(support + 1.0)
-        - gammaln(n - support + 1.0)
+        log_factorial[n]
+        - log_factorial
+        - log_factorial[::-1]
         + support * log(t)
         + (n - support) * log1p(-t)
     )

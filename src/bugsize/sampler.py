@@ -9,7 +9,7 @@ its own sub-seed spawned from a single configured seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lgamma, log, log1p
 
 import numpy as np
@@ -118,6 +118,22 @@ class PosteriorSummary:
         return float(np.mean(rates))
 
 
+def _state_totals(state: ChainState) -> list[int]:
+    return [int(row.sum()) for row in state.S]
+
+
+def _size_params(totals) -> list[int]:
+    """Negative-binomial size parameters r_k = C_k - sum_{i<k} C_i, where
+    C_k = F_1 + ... + F_k, from per-phase integer totals F; the pure-Python
+    counterpart of ``nb_sizes(cumulative_totals(F))``, exact for integers."""
+    r, cumulative, prior = [], 0, 0
+    for F_k in totals:
+        cumulative += F_k
+        r.append(cumulative - prior)
+        prior += cumulative
+    return r
+
+
 def _clamped_beta(rng: np.random.Generator, a: float, b: float, floor: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"Beta parameters must be positive, got ({a}, {b})")
@@ -131,9 +147,14 @@ def gibbs_update_p(
     j: int,
     rng: np.random.Generator,
     eps_floor: float = 1e-12,
+    totals: list[int] | None = None,
 ) -> float:
-    """Draw p_j from its conjugate conditional Beta(N_j + alpha_j, r_j + beta_j)."""
-    r_j = float(nb_sizes(cumulative_totals(state.F))[j])
+    """Draw p_j from its conjugate conditional Beta(N_j + alpha_j, r_j + beta_j).
+
+    `totals` are the per-phase totals of ``state.S`` when the caller
+    already holds them; by default they are summed from the state.
+    """
+    r_j = float(_size_params(_state_totals(state) if totals is None else totals)[j])
     if r_j <= 0.0:
         raise ValueError(f"phase {j + 1}: size parameter {r_j} must be positive")
     a = data[j].runs_cumulative + hyper.alpha_hat[j]
@@ -166,6 +187,7 @@ def mh_log_alpha(
     i: int,
     j: int,
     proposed: int,
+    totals: list[int] | None = None,
 ) -> float:
     """Log acceptance ratio of an independence Poisson proposal for S_ij.
 
@@ -179,7 +201,9 @@ def mh_log_alpha(
     the ChainState bounds.  Proposals below the observed size, below 1,
     above the trial count, or breaking a phase's size-parameter
     positivity are rejected outright (-inf); from an infeasible current
-    state any feasible proposal is accepted (+inf).
+    state any feasible proposal is accepted (+inf).  `totals` are the
+    per-phase totals of ``state.S`` when the caller already holds them; by
+    default they are summed from the state.
     """
     s_obs = int(data[j].observed_sizes[i])
     n_ij = int(state.n_trials[j][i])
@@ -192,7 +216,7 @@ def mh_log_alpha(
         raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
     delta = proposed - current
-    r = nb_sizes(cumulative_totals(state.F)).tolist()
+    r = _size_params(_state_totals(state) if totals is None else totals)
     r_new = list(r)
     r_new[j] += delta
     for k in range(j + 2, len(r)):
@@ -227,11 +251,15 @@ def mh_update_S(
     i: int,
     j: int,
     rng: np.random.Generator,
+    totals: list[int] | None = None,
 ) -> tuple[int, bool]:
-    """One Metropolis step for S_ij; returns (new value, accepted)."""
+    """One Metropolis step for S_ij; returns (new value, accepted).
+
+    `totals` is passed on to `mh_log_alpha`; the step does not change it.
+    """
     current = int(state.S[j][i])
     proposed = int(rng.poisson(float(hyper.proposal_rate[j][i])))
-    log_alpha = mh_log_alpha(state, data, hyper, i, j, proposed)
+    log_alpha = mh_log_alpha(state, data, hyper, i, j, proposed, totals)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
@@ -304,36 +332,49 @@ def init_state(
 def _run_single_chain(data, hyper, config, seed_seq):
     rng = np.random.default_rng(seed_seq)
     state = init_state(data, hyper, rng)
+    # The updates read one bug's prior at a time: Python floats index faster
+    # than numpy rows.
+    hyper = replace(
+        hyper,
+        a=[row.tolist() for row in hyper.a],
+        b=[row.tolist() for row in hyper.b],
+        proposal_rate=[row.tolist() for row in hyper.proposal_rate],
+    )
     m = len(data)
     n_bugs = [s.distinct_bugs for s in data]
     N = [s.runs_cumulative for s in data]
     kept = config.n_retained
 
-    totals = np.empty((kept, m))
+    draws = np.empty((kept, m))
     loglik = np.empty(kept)
     accept_counts = [np.zeros(n, dtype=np.int64) for n in n_bugs]
+    # Per-phase totals of state.S, moved with every accepted S step so the
+    # updates need not sum the state.
+    F = _state_totals(state)
 
     out = 0
     for it in range(config.iterations):
         for j in range(m):
+            S_row = state.S[j]
             for i in range(n_bugs[j]):
-                new_S, accepted = mh_update_S(state, hyper, data, i, j, rng)
-                state.S[j][i] = new_S
-                accept_counts[j][i] += accepted
+                new_S, accepted = mh_update_S(state, hyper, data, i, j, rng, F)
+                if accepted:
+                    F[j] += new_S - int(S_row[i])
+                    S_row[i] = new_S
+                    accept_counts[j][i] += 1
         for j in range(m):
             for i in range(n_bugs[j]):
                 state.t[j][i] = gibbs_update_t(state, hyper, i, j, rng, config.epsilon_floor)
         for j in range(m):
-            state.p[j] = gibbs_update_p(state, hyper, data, j, rng, config.epsilon_floor)
+            state.p[j] = gibbs_update_p(state, hyper, data, j, rng, config.epsilon_floor, F)
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            F = state.F
-            totals[out] = F
+            draws[out] = F
             loglik[out] = log_likelihood(cumulative_totals(F), N, state.p)
             out += 1
 
     rates = [counts / config.iterations for counts in accept_counts]
-    return totals, loglik, rates
+    return draws, loglik, rates
 
 
 def run_chain(

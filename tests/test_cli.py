@@ -415,6 +415,46 @@ class TestDetectionTable:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_total": [10]}, "config 'n_total' must be an integer, got [10]"),
+            ({"n_total": 10.5}, "config 'n_total' must be an integer, got 10.5"),
+            ({"n_total": True}, "config 'n_total' must be an integer, got true"),
+            ({"p0": [0.5]}, "config 'p0' must be a number, got [0.5]"),
+            ({"p0": "0.5"}, 'config \'p0\' must be a number, got "0.5"'),
+            ({"delta": [0.3]}, "config 'delta' must be a number, got [0.3]"),
+            (
+                {"q": [{"q_detect": 0.5, "q_none": 0.5}]},
+                "config 'q' entry for phase 1: 'q_detect' must be a list of numbers",
+            ),
+            (
+                {"q": [{"q_detect": ["0.5"], "q_none": 0.5}]},
+                "config 'q' entry for phase 1: 'q_detect' value must be a number, got \"0.5\"",
+            ),
+            (
+                {"q": [{"q_detect": [0.5], "q_none": [0.5]}]},
+                "config 'q' entry for phase 1: 'q_none' must be a number, got [0.5]",
+            ),
+        ],
+        ids=[
+            "n_total-list", "n_total-fraction", "n_total-bool", "p0-list", "p0-string",
+            "delta-list", "q_detect-number", "q_detect-string", "q_none-list",
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path, change, message):
+        detections = tmp_path / "detections.csv"
+        detections.write_text("phase,class,count\n1,1,5\n")
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [self.Q], **change})
+        )
+        code, out, err = run_cli(
+            capsys, "baseline", "--detections", str(detections), "--config", str(config)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
 
 class TestPredictFromTotals:
     def test_fixed_bandwidth(self, capsys):
@@ -505,6 +545,14 @@ class TestImportHygiene:
             argv = ["decide", "--totals", TABLE_TOTALS, "--epsilon", "1"]
         argv += ["--out", str(tmp_path / "report.json"), "--quiet"]
         assert _modules_loaded(RUN_CLI, *argv) == (False, False)
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_simulate_and_compare_skip_scipy(self, command, tmp_path):
+        if command == "simulate":
+            argv = ["simulate", "--out", str(tmp_path / "log.csv"), "--quiet"]
+        else:
+            argv = ["compare", "--trials", "1", "--out", str(tmp_path / "report.json"), "--quiet"]
+        assert _modules_loaded(RUN_CLI, *argv) == (True, False)
 
     def test_fit_and_predict_skip_scipy(self, sample_log, tmp_path):
         report = tmp_path / "fit.json"

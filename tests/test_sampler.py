@@ -298,6 +298,9 @@ class TestMetropolisStep:
 
         expected = _reference_log_alpha(state, data, hyper, i, j, proposed)
         actual = mh_log_alpha(state, data, hyper, i, j, proposed)
+        # the sweep passes its carried totals; the ratio must not change
+        totals = [int(row.sum()) for row in sizes]
+        assert mh_log_alpha(state, data, hyper, i, j, proposed, totals) == actual
         if math.isinf(expected):
             assert actual == expected
         else:
@@ -385,6 +388,36 @@ class TestRunChain:
         for row in posterior.acceptance:
             assert np.all(row >= 0) and np.all(row <= 1)
         assert 0.0 <= posterior.acceptance_rate_mean <= 1.0
+
+    def test_carried_totals_match_state_after_every_update(self, monkeypatch):
+        # The sweep hands its running per-phase totals to every S step and
+        # p update.  Each call checks them against the state, so each S
+        # step, accepted or not, is checked by the call after it.
+        calls = {"mh_update_S": 0, "gibbs_update_p": 0}
+        seen = set()
+
+        def checked(update):
+            def wrapper(state, *args):
+                totals = args[-1]
+                assert isinstance(totals, list)
+                assert totals == state.F.tolist()
+                calls[update.__name__] += 1
+                seen.add(tuple(totals))
+                return update(state, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(sampler_mod, "mh_update_S", checked(mh_update_S))
+        monkeypatch.setattr(sampler_mod, "gibbs_update_p", checked(gibbs_update_p))
+        data = [
+            PhaseSummary(1, 10, {1: 1, 2: 2}),
+            PhaseSummary(2, 25, {3: 2, 4: 1}),
+            PhaseSummary(3, 45, {5: 3, 6: 2}),
+        ]
+        config = SamplerConfig(chains=2, iterations=150, burn_in=50, seed=12)
+        run_chain(data, flat_hyperparams(3), config)
+        assert calls == {"mh_update_S": 2 * 150 * 6, "gibbs_update_p": 2 * 150 * 3}
+        assert len(seen) > 10  # the totals did move
 
     def test_nonincreasing_runs_rejected(self):
         data = [PhaseSummary(1, 30, {1: 2}), PhaseSummary(2, 30, {2: 3})]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from bugsize.ingest import summarize_phases
 from bugsize.model import binomial_pmf, nb_sizes, size_biased_pmf
@@ -105,6 +106,18 @@ def test_binomial_mean_at_large_trial_counts(n):
     pmf = binomial_pmf(n, t)
     assert pmf.mean() == pytest.approx(n * t, rel=1e-12)
     assert size_biased_pmf(pmf).mean() == pytest.approx(n * t + 1 - t, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [14, 1030, 30_000])
+@pytest.mark.parametrize("t", [0.03, 0.37, 0.9])
+def test_binomial_pmf_matches_scipy(n, t):
+    pmf = binomial_pmf(n, t)
+    reference = binom.pmf(pmf.support, n, t)
+    held = reference > 1e-300
+    assert held.sum() >= min(n, 100)
+    np.testing.assert_allclose(pmf.mass[held], reference[held], rtol=1e-9, atol=0)
+    assert np.all(pmf.mass[~held] <= 1e-290)
+    assert pmf.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binomial_degenerate_rates_are_point_masses():
