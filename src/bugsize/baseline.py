@@ -15,7 +15,7 @@ error of the predicted remaining total size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import lgamma, log
 
 import numpy as np
@@ -167,7 +167,8 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
 
     Marginalizes the multinomial detection likelihood over the binomial
     prior on the number of faults present entering the phase; this is
-    exactly the normalizer of the posterior recursion.
+    exactly the normalizer of the posterior recursion.  The package does
+    not call it; it is kept, with its tests, as a check on that recursion.
     """
     pool = state.remaining_pool
     total = detection.total
@@ -215,15 +216,8 @@ class ComparisonReport:
     seed: int
 
     def as_doc(self) -> dict:
-        return {
-            "trials": self.trials,
-            "scored_trials": self.scored_trials,
-            "skipped_trials": self.skipped_trials,
-            "win_fraction": self.win_fraction,
-            "relative_mse_size_biased": self.relative_mse_size_biased,
-            "relative_mse_baseline": self.relative_mse_baseline,
-            "seed": self.seed,
-        }
+        """The report's fields, keyed in declaration order."""
+        return asdict(self)
 
 
 def _wins(errors_a: list[float], errors_b: list[float]) -> float:

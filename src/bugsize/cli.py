@@ -1,15 +1,16 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: ingest | fit | predict | decide | baseline | compare |
-simulate.  Every report embeds the seed and a hash of the effective
-configuration; all randomness flows from --seed.  Exit codes: 0 on
-success, 1 on validation errors, 2 on runtime/model errors.
+simulate.  Every report opens with the command, the seed and a hash of
+the effective configuration; all randomness flows from --seed.  Exit
+codes: 0 on success, 1 on validation errors, 2 on runtime/model errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -76,6 +77,34 @@ def _config_number(value, name: str, integer: bool = False):
     return value
 
 
+def _check_fields(raw: dict, cls, where: str) -> None:
+    """Check that each key of ``raw`` naming a field of the dataclass ``cls``
+    holds the JSON type its annotation asks for: a number, an integer, or a
+    list of either.  ``cls`` itself rejects unknown keys."""
+    for field in dataclasses.fields(cls):
+        if field.name not in raw:
+            continue
+        name, kind = f"{where} '{field.name}'", str(field.type)
+        integer = "int" in kind
+        if not kind.startswith("tuple"):
+            _config_number(raw[field.name], name, integer)
+        elif not isinstance(raw[field.name], list):
+            raise ValueError(f"{name} must be a list of {'integers' if integer else 'numbers'}")
+        else:
+            for value in raw[field.name]:
+                _config_number(value, f"{name} value", integer)
+
+
+def _scenario(raw: dict, seed: int):
+    """The scenario a config document describes, or the default one."""
+    from . import simulator as simulator_mod
+
+    if not raw:
+        return simulator_mod.default_scenario(seed)
+    _check_fields(raw, simulator_mod.ScenarioConfig, "scenario")
+    return simulator_mod.ScenarioConfig.from_dict({"seed": seed, **raw})
+
+
 def _parse_number_list(text: str, flag: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
@@ -123,6 +152,12 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _data_config(args) -> dict:
+    # reports carry content hashes, not paths, so identical inputs give
+    # byte-identical reports wherever the files live
+    return {"data_sha256": _file_sha256(args.data), "runs": args.runs, "per_input": args.per_input}
+
+
 def _summaries_from_args(args) -> list[ingest_mod.PhaseSummary]:
     if args.per_input:
         records, runs = ingest_mod.parse_input_log(args.data)
@@ -134,17 +169,14 @@ def _summaries_from_args(args) -> list[ingest_mod.PhaseSummary]:
     return ingest_mod.summarize_phases(records, runs)
 
 
-def _cmd_ingest(args) -> dict:
+# Each handler returns (effective config, report body); run() opens the
+# report with the command, the seed and the effective config's hash.
+def _cmd_ingest(args) -> tuple[dict, dict]:
     summaries = _summaries_from_args(args)
-    # reports carry content hashes, not paths, so identical inputs give
-    # byte-identical reports wherever the files live
-    config = {"data_sha256": _file_sha256(args.data), "runs": args.runs, "per_input": args.per_input}
-    report = {"command": "ingest", "seed": args.seed, "config_sha256": _config_hash(config)}
-    report.update(ingest_mod.phase_summary_doc(summaries))
-    return report
+    return _data_config(args), ingest_mod.phase_summary_doc(summaries)
 
 
-def _cmd_fit(args) -> dict:
+def _cmd_fit(args) -> tuple[dict, dict]:
     from . import model as model_mod
     from . import sampler as sampler_mod
 
@@ -157,6 +189,8 @@ def _cmd_fit(args) -> dict:
             "the model needs at least one defect in every phase"
         )
     raw_config = _load_config(args.config)
+    if raw_config.get("hyper_seed") is not None:
+        _config_number(raw_config["hyper_seed"], "config 'hyper_seed'", integer=True)
     hyper_config = model_mod.HyperConfig.from_dict(raw_config)
     hyper = model_mod.build_hyperparams(summaries, hyper_config, args.seed)
     sampler_config = sampler_mod.SamplerConfig(
@@ -173,9 +207,7 @@ def _cmd_fit(args) -> dict:
         _dump_draws(posterior, args.dump_draws)
 
     effective = {
-        "data_sha256": _file_sha256(args.data),
-        "runs": args.runs,
-        "per_input": args.per_input,
+        **_data_config(args),
         "hyper": raw_config,
         "chains": args.chains,
         "iterations": args.iterations,
@@ -198,10 +230,7 @@ def _cmd_fit(args) -> dict:
                 "ess": diag.ess if diag else None,
             }
         )
-    report = {
-        "command": "fit",
-        "seed": args.seed,
-        "config_sha256": _config_hash(effective),
+    body = {
         "config": effective,
         "per_phase": per_phase,
         "acceptance_rate_mean": posterior.acceptance_rate_mean,
@@ -211,8 +240,8 @@ def _cmd_fit(args) -> dict:
         "chains": posterior.chains,
     }
     if posterior.diagnostics and any(d.r_hat > 1.1 for d in posterior.diagnostics):
-        report["convergence_warning"] = "split R-hat above 1.1 for at least one phase"
-    return report
+        body["convergence_warning"] = "split R-hat above 1.1 for at least one phase"
+    return effective, body
 
 
 def _dump_draws(posterior: PosteriorSummary, path: str) -> None:
@@ -246,7 +275,7 @@ def _totals_from_args(args) -> list[float]:
     raise ValueError("either --totals or --from-report is required")
 
 
-def _cmd_predict(args) -> dict:
+def _cmd_predict(args) -> tuple[dict, dict]:
     from . import predictor as predictor_mod
 
     totals = _totals_from_args(args)
@@ -271,10 +300,7 @@ def _cmd_predict(args) -> dict:
         "windows": windows,
         "epsilon": args.epsilon,
     }
-    report = {
-        "command": "predict",
-        "seed": args.seed,
-        "config_sha256": _config_hash(effective),
+    body = {
         "totals": totals,
         "predicted_next_total": prediction.mean,
         "predicted_median": prediction.median,
@@ -287,8 +313,8 @@ def _cmd_predict(args) -> dict:
     }
     if args.epsilon is not None:
         decision = predictor_mod.decide_stop(totals + [prediction.mean], args.epsilon)
-        report["decision"] = _decision_doc(decision)
-    return report
+        body["decision"] = _decision_doc(decision)
+    return effective, body
 
 
 def _draws_from_dump(path: str) -> list[float]:
@@ -306,25 +332,20 @@ def _decision_doc(decision: StopDecision) -> dict:
     return {"action": "continue", "stop_after_phase": None}
 
 
-def _cmd_decide(args) -> dict:
+def _cmd_decide(args) -> tuple[dict, dict]:
     from . import decision as decision_mod
 
     totals = _totals_from_args(args)
     decision = decision_mod.decide_stop(totals, args.epsilon)
-    effective = {"totals": totals, "epsilon": args.epsilon}
-    report = {
-        "command": "decide",
-        "seed": args.seed,
-        "config_sha256": _config_hash(effective),
+    return {"totals": totals, "epsilon": args.epsilon}, {
         "epsilon": args.epsilon,
         "totals": totals,
         "stop_after_phase": decision.stop_after_phase,
+        **_decision_doc(decision),
     }
-    report.update(_decision_doc(decision))
-    return report
 
 
-def _cmd_baseline(args) -> dict:
+def _cmd_baseline(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
 
     raw_config = _load_config(args.config)
@@ -350,19 +371,17 @@ def _cmd_baseline(args) -> dict:
         where = f"config 'q' entry for phase {phase}"
         if not isinstance(q_entry, dict):
             raise ValueError(f"{where} must be an object")
-        if not isinstance(q_entry["q_detect"], list):
-            raise ValueError(f"{where}: 'q_detect' must be a list of numbers")
-        q_detect = tuple(
-            float(_config_number(x, f"{where}: 'q_detect' value")) for x in q_entry["q_detect"]
-        )
+        for key in ("q_detect", "q_none"):
+            if key not in q_entry:
+                raise ValueError(f"{where} must set '{key}'")
+        _check_fields(q_entry, baseline_mod.PhaseDetection, f"{where}:")
+        q_detect = tuple(float(x) for x in q_entry["q_detect"])
         if len(q_detect) != len(classes):
             raise ValueError(f"phase {phase}: expected {len(classes)} class probabilities")
         counts = tuple(counts_by_phase[phase].get(cls, 0) for cls in classes)
         detections.append(
             baseline_mod.PhaseDetection(
-                counts=counts,
-                q_detect=q_detect,
-                q_none=float(_config_number(q_entry["q_none"], f"{where}: 'q_none'")),
+                counts=counts, q_detect=q_detect, q_none=float(q_entry["q_none"])
             )
         )
 
@@ -375,10 +394,7 @@ def _cmd_baseline(args) -> dict:
         )
     stopping = baseline_mod.baseline_stopping_phase(detections, n_total, p0, delta)
     effective = {"detections_sha256": _file_sha256(args.detections), "config": raw_config}
-    return {
-        "command": "baseline",
-        "seed": args.seed,
-        "config_sha256": _config_hash(effective),
+    return effective, {
         "n_total": n_total,
         "p0": p0,
         "delta": delta,
@@ -387,49 +403,34 @@ def _cmd_baseline(args) -> dict:
     }
 
 
-def _cmd_compare(args) -> dict:
+def _cmd_compare(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
-    from . import simulator as simulator_mod
 
     raw_config = _load_config(args.scenario)
     comparison_raw = raw_config.pop("comparison", {})
-    if raw_config:
-        raw_config.setdefault("seed", args.seed)
-        scenario = simulator_mod.ScenarioConfig.from_dict(raw_config)
-    else:
-        scenario = simulator_mod.default_scenario(args.seed)
+    scenario = _scenario(raw_config, args.seed)
+    _check_fields(comparison_raw, baseline_mod.ComparisonConfig, "comparison")
     try:
         comparison = baseline_mod.ComparisonConfig(**comparison_raw)
     except TypeError as exc:
         raise ValueError(f"bad comparison config: {exc}") from None
-    report_data = baseline_mod.compare_models(scenario, args.trials, args.seed, comparison)
+    report = baseline_mod.compare_models(scenario, args.trials, args.seed, comparison)
     effective = {
         "scenario_sha256": _file_sha256(args.scenario) if args.scenario else "default",
         "trials": args.trials,
         "comparison": comparison_raw,
     }
-    report = {
-        "command": "compare",
-        "seed": args.seed,
-        "config_sha256": _config_hash(effective),
-    }
-    report.update(report_data.as_doc())
-    return report
+    return effective, report.as_doc()
 
 
-def _cmd_simulate(args) -> dict:
+def _cmd_simulate(args) -> tuple[dict, dict]:
     from . import simulator as simulator_mod
 
-    raw_config = _load_config(args.scenario)
-    if raw_config:
-        raw_config.setdefault("seed", args.seed)
-        scenario = simulator_mod.ScenarioConfig.from_dict(raw_config)
-    else:
-        scenario = simulator_mod.default_scenario(args.seed)
+    scenario = _scenario(_load_config(args.scenario), args.seed)
     log, truth = simulator_mod.generate(scenario)
 
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
+    if args.log_out:
+        with open(args.log_out, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["cycle", "defect_header", "defect_id", "size"])
             for record in log.records:
@@ -440,10 +441,7 @@ def _cmd_simulate(args) -> dict:
         )
 
     effective = {"scenario_sha256": _file_sha256(args.scenario) if args.scenario else "default"}
-    return {
-        "command": "simulate",
-        "seed": args.seed,
-        "config_sha256": _config_hash(effective),
+    return effective, {
         "phases": scenario.phases,
         "records": len(log.records),
         "runs_per_phase": list(log.runs_per_phase),
@@ -454,24 +452,26 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bugsize", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub):
+    def add_common(sub, report_out=True):
         sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
         sub.add_argument("--config", default=None, help="JSON config document")
-        sub.add_argument("--out", default=None, help="write the report here instead of stdout")
+        if report_out:
+            sub.add_argument("--out", default=None, help="write the report here instead of stdout")
         sub.add_argument("--format", choices=("doc", "table"), default="doc")
         sub.add_argument("--quiet", action="store_true")
 
+    def add_data(sub):
+        sub.add_argument("--data", required=True)
+        sub.add_argument("--runs", default=None, help="comma-separated runs per phase")
+        sub.add_argument("--per-input", action="store_true", help="input is a raw per-input log")
+
     ingest_p = subparsers.add_parser("ingest", help="parse and aggregate a testing log")
-    ingest_p.add_argument("--data", required=True)
-    ingest_p.add_argument("--runs", default=None, help="comma-separated runs per phase")
-    ingest_p.add_argument("--per-input", action="store_true", help="input is a raw per-input log")
+    add_data(ingest_p)
     add_common(ingest_p)
     ingest_p.set_defaults(handler=_cmd_ingest)
 
     fit_p = subparsers.add_parser("fit", help="fit the size-biased model")
-    fit_p.add_argument("--data", required=True)
-    fit_p.add_argument("--runs", default=None)
-    fit_p.add_argument("--per-input", action="store_true")
+    add_data(fit_p)
     fit_p.add_argument("--chains", type=int, default=2)
     fit_p.add_argument("--iterations", type=int, default=2000)
     fit_p.add_argument("--burn-in", type=int, default=500)
@@ -515,13 +515,11 @@ def build_parser() -> _Parser:
 
     simulate_p = subparsers.add_parser("simulate", help="generate a synthetic log")
     simulate_p.add_argument("--scenario", default=None)
-    simulate_p.add_argument("--out", dest="out", default=None, help="log CSV path")
+    # --out names the log here; the report always goes to stdout
+    simulate_p.add_argument("--out", dest="log_out", metavar="OUT", help="log CSV path")
     simulate_p.add_argument("--truth-out", default=None, help="ground-truth JSON path")
-    simulate_p.add_argument("--seed", type=int, default=0)
-    simulate_p.add_argument("--config", default=None)
-    simulate_p.add_argument("--format", choices=("doc", "table"), default="doc")
-    simulate_p.add_argument("--quiet", action="store_true")
-    simulate_p.set_defaults(handler=_cmd_simulate)
+    add_common(simulate_p, report_out=False)
+    simulate_p.set_defaults(handler=_cmd_simulate, out=None)
 
     return parser
 
@@ -536,18 +534,16 @@ def run(argv) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        report = args.handler(args)
+        effective, body = args.handler(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"command": args.command, "seed": args.seed, "config_sha256": _config_hash(effective)}
     try:
-        # For simulate the --out flag names the log file, written by the
-        # handler; its report always goes to stdout.
-        out = None if report.get("command") == "simulate" else args.out
-        emit_report(report, args.format, out, args.quiet)
+        emit_report({**report, **body}, args.format, args.out, args.quiet)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

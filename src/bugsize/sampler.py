@@ -19,7 +19,7 @@ from .model import (
     ChainState,
     Hyperparams,
     cumulative_totals,
-    log_likelihood,
+    log_likelihood,  # noqa: F401 -- not called: bench/run.py traces this name
     log_posterior_S_kernel,  # noqa: F401 -- not called: the reference mh_log_alpha must match
     nb_sizes,
     resolve_for_data,
@@ -85,7 +85,6 @@ class PosteriorSummary:
     """Retained draws of the per-phase eventual-size totals plus summaries."""
 
     draws: np.ndarray  # (chains, retained, phases)
-    loglik: np.ndarray  # (chains, retained)
     acceptance: list[np.ndarray]  # per phase, per bug, mean over chains
     diagnostics: list[ChainDiagnostics] | None
     chains: int
@@ -342,11 +341,8 @@ def _run_single_chain(data, hyper, config, seed_seq):
     )
     m = len(data)
     n_bugs = [s.distinct_bugs for s in data]
-    N = [s.runs_cumulative for s in data]
-    kept = config.n_retained
 
-    draws = np.empty((kept, m))
-    loglik = np.empty(kept)
+    draws = np.empty((config.n_retained, m))
     accept_counts = [np.zeros(n, dtype=np.int64) for n in n_bugs]
     # Per-phase totals of state.S, moved with every accepted S step so the
     # updates need not sum the state.
@@ -370,11 +366,10 @@ def _run_single_chain(data, hyper, config, seed_seq):
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             draws[out] = F
-            loglik[out] = log_likelihood(cumulative_totals(F), N, state.p)
             out += 1
 
     rates = [counts / config.iterations for counts in accept_counts]
-    return draws, loglik, rates
+    return draws, rates
 
 
 def run_chain(
@@ -393,16 +388,14 @@ def run_chain(
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     results = [_run_single_chain(data, resolved, config, s) for s in seeds]
     draws = np.stack([r[0] for r in results])
-    loglik = np.stack([r[1] for r in results])
     acceptance = [
-        np.mean([r[2][j] for r in results], axis=0) for j in range(len(data))
+        np.mean([r[1][j] for r in results], axis=0) for j in range(len(data))
     ]
     diag = None
     if config.chains >= 2 and config.n_retained >= 10:
         diag = diagnostics(draws)
     return PosteriorSummary(
         draws=draws,
-        loglik=loglik,
         acceptance=acceptance,
         diagnostics=diag,
         chains=config.chains,

@@ -65,10 +65,7 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
         raw = dict(raw)
-        for key in ("bugs_per_phase", "p_true"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        for key in ("n_trials_range", "t_range"):
+        for key in ("bugs_per_phase", "p_true", "n_trials_range", "t_range"):
             if key in raw:
                 raw[key] = tuple(raw[key])
         return cls(**raw)

@@ -238,6 +238,11 @@ class TestFitConfig:
         assert code == 1
         assert "du_bound" in err
 
+    def test_hyper_seed_of_wrong_type_exits_1(self, capsys, sample_log, tmp_path):
+        code, out, err = self.fit(capsys, sample_log, tmp_path, {"hyper_seed": "x"})
+        assert (code, out) == (1, "")
+        assert err == 'error: config \'hyper_seed\' must be an integer, got "x"\n'
+
 
 class TestSimulateRoundTrip:
     def test_simulate_then_ingest(self, capsys, tmp_path):
@@ -436,10 +441,11 @@ class TestDetectionTable:
                 {"q": [{"q_detect": [0.5], "q_none": [0.5]}]},
                 "config 'q' entry for phase 1: 'q_none' must be a number, got [0.5]",
             ),
+            ({"q": [{"q_detect": [0.5]}]}, "config 'q' entry for phase 1 must set 'q_none'"),
         ],
         ids=[
             "n_total-list", "n_total-fraction", "n_total-bool", "p0-list", "p0-string",
-            "delta-list", "q_detect-number", "q_detect-string", "q_none-list",
+            "delta-list", "q_detect-number", "q_detect-string", "q_none-list", "q_none-missing",
         ],
     )
     def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path, change, message):
@@ -455,6 +461,85 @@ class TestDetectionTable:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+
+
+SCENARIO = {
+    "phases": 2,
+    "bugs_per_phase": [3, 3],
+    "n_trials_range": [6, 14],
+    "t_range": [0.35, 0.85],
+    "p_true": [0.7, 0.7],
+}
+
+
+class TestScenarioValueTypes:
+    """A scenario or comparison value of the wrong JSON type exits 1 with a
+    message that names its key, instead of ending in a traceback."""
+
+    def check(self, capsys, tmp_path, argv, document, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(scenario))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"phases": "2"}, 'scenario \'phases\' must be an integer, got "2"'),
+            ({"bugs_per_phase": 3}, "scenario 'bugs_per_phase' must be a list of integers"),
+        ],
+        ids=["phases-string", "bugs_per_phase-number"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_scenario(self, capsys, tmp_path, command, change, message):
+        self.check(capsys, tmp_path, [command], {**SCENARIO, **change}, message)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"iterations": "600"}, 'comparison \'iterations\' must be an integer, got "600"'),
+            ({"q_detect": "x"}, 'comparison \'q_detect\' must be a number, got "x"'),
+        ],
+        ids=["iterations-string", "q_detect-string"],
+    )
+    def test_comparison(self, capsys, tmp_path, change, message):
+        argv = ["compare", "--trials", "1"]
+        self.check(capsys, tmp_path, argv, {"comparison": change}, message)
+
+
+class TestReportEnvelope:
+    """Every report opens with the command, the seed and the config hash."""
+
+    @pytest.fixture
+    def argv(self, request, sample_log, tmp_path):
+        detections = tmp_path / "detections.csv"
+        detections.write_text("phase,class,count\n1,1,5\n")
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [TestDetectionTable.Q]})
+        )
+        data = ["--data", str(sample_log), "--runs", "40,90"]
+        return {
+            "ingest": ["ingest", *data],
+            "fit": ["fit", *data, "--iterations", "60", "--burn-in", "10", "--chains", "1"],
+            "predict": ["predict", "--totals", "10,4", "--bandwidth", "0.1"],
+            "decide": ["decide", "--totals", "10,4", "--epsilon", "1"],
+            "baseline": ["baseline", "--detections", str(detections), "--config", str(config)],
+            "compare": ["compare", "--trials", "1"],
+            "simulate": ["simulate", "--out", str(tmp_path / "log.csv")],
+        }[request.param]
+
+    @pytest.mark.parametrize(
+        "argv", ["ingest", "fit", "predict", "decide", "baseline", "compare", "simulate"],
+        indirect=True,
+    )
+    def test_first_keys(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "5")
+        assert code == 0, err
+        report = json.loads(out)
+        assert list(report)[:3] == ["command", "seed", "config_sha256"]
+        assert (report["command"], report["seed"]) == (argv[0], 5)
+        assert len(report["config_sha256"]) == 64
 
 class TestPredictFromTotals:
     def test_fixed_bandwidth(self, capsys):
