@@ -12,12 +12,9 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from bugsize.ingest import summarize_phases
-from bugsize.model import flat_hyperparams
 from bugsize.sampler import SamplerConfig, run_chain
-from bugsize.simulator import ScenarioConfig, generate, matched_t_prior
+from bugsize.simulator import ScenarioConfig, generate, oracle_hyperparams
 
 
 def main() -> int:
@@ -31,7 +28,6 @@ def main() -> int:
     parser.add_argument("--p-true", type=float, default=0.7)
     args = parser.parse_args()
 
-    a_cfg, b_cfg = matched_t_prior((0.35, 0.85))
     covered = total = skipped = 0
     start = time.time()
     for i in range(args.scenarios):
@@ -51,12 +47,7 @@ def main() -> int:
         if any(s.distinct_bugs == 0 for s in summaries):
             skipped += 1
             continue
-        hyper = flat_hyperparams(len(summaries))
-        hyper.a, hyper.b = a_cfg, b_cfg
-        hyper.m_weights = [
-            [np.array([int(n)]) for n, s in zip(truth.trials[j], truth.observed[j]) if s >= 1]
-            for j in range(len(summaries))
-        ]
+        hyper = oracle_hyperparams(truth, scenario.t_range)
         config = SamplerConfig(
             chains=args.chains,
             iterations=args.iterations,

@@ -21,9 +21,9 @@ from math import lgamma, log
 import numpy as np
 
 from .ingest import summarize_phases
-from .model import flat_hyperparams
+from .model import flat_hyperparams  # noqa: F401 -- not called: bench/run.py traces this name
 from .sampler import InitializationError, SamplerConfig, run_chain
-from .simulator import ScenarioConfig, ScenarioInfeasibleError, generate, matched_t_prior
+from .simulator import ScenarioConfig, ScenarioInfeasibleError, generate, oracle_hyperparams
 
 __all__ = [
     "DegenerateUpdateError",
@@ -271,16 +271,7 @@ def compare_models(
                 thin=comparison.thin,
                 seed=trial_seed,
             )
-            hyper = flat_hyperparams(len(summaries))
-            hyper.a, hyper.b = matched_t_prior(trial_scenario.t_range)
-            hyper.m_weights = [
-                [
-                    np.array([int(n)])
-                    for n, s in zip(truth.trials[j], truth.observed[j])
-                    if s >= 1
-                ]
-                for j in range(len(summaries))
-            ]
+            hyper = oracle_hyperparams(truth, trial_scenario.t_range)
             posterior = run_chain(summaries, hyper, config)
             predicted_sized = float(posterior.F_mean.sum()) - observed_total
 

@@ -69,12 +69,39 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
 def _config_number(value, name: str, integer: bool = False):
     """A config value that must be a JSON number (an integer if asked)."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+    if not _is_number(value, integer):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
     return value
+
+
+def _check_hyper_config(raw: dict) -> None:
+    """Check the JSON types of a `fit` hyperparameter config: `a` and `b`
+    take a number or per-phase lists of numbers, `mu` and `sigma2` a number
+    or a list of numbers, `hyper_seed` an integer; the last three may be
+    null.  `HyperConfig` itself rejects unknown keys."""
+    if raw.get("hyper_seed") is not None:
+        _config_number(raw["hyper_seed"], "config 'hyper_seed'", integer=True)
+    for key, depth in (("a", 2), ("b", 2), ("mu", 1), ("sigma2", 1)):
+        if key not in raw or (key in ("mu", "sigma2") and raw[key] is None):
+            continue
+        value = raw[key]
+        if not (_is_number(value) or _nested_numbers(value, depth)):
+            lists = "per-phase lists of numbers" if depth == 2 else "a list of numbers"
+            raise ValueError(f"config '{key}' must be a number or {lists}, got {json.dumps(value)}")
+
+
+def _nested_numbers(value, depth: int) -> bool:
+    """Whether `value` is `depth` levels of JSON lists around numbers."""
+    if depth == 0:
+        return _is_number(value)
+    return isinstance(value, list) and all(_nested_numbers(v, depth - 1) for v in value)
 
 
 def _check_fields(raw: dict, cls, where: str) -> None:
@@ -189,8 +216,7 @@ def _cmd_fit(args) -> tuple[dict, dict]:
             "the model needs at least one defect in every phase"
         )
     raw_config = _load_config(args.config)
-    if raw_config.get("hyper_seed") is not None:
-        _config_number(raw_config["hyper_seed"], "config 'hyper_seed'", integer=True)
+    _check_hyper_config(raw_config)
     hyper_config = model_mod.HyperConfig.from_dict(raw_config)
     hyper = model_mod.build_hyperparams(summaries, hyper_config, args.seed)
     sampler_config = sampler_mod.SamplerConfig(

@@ -36,8 +36,7 @@ __all__ = [
     "flat_hyperparams",
     "resolve_for_data",
     "ChainState",
-    "cumulative_totals",
-    "nb_sizes",
+    "size_params",
     "log_likelihood",
     "log_posterior_S_kernel",
 ]
@@ -150,20 +149,16 @@ def solve_beta_hyper(mu: float, sigma2: float) -> tuple[float, float]:
 class Hyperparams:
     """Phase-level Beta parameters plus bug-level prior settings.
 
-    ``a``, ``b`` and ``proposal_rate`` may be scalars (broadcast over
-    bugs) or per-phase lists of arrays; ``resolve_for_data`` produces the
-    fully expanded form.  ``m_weights[j][i]`` lists the candidate trial
-    counts for bug i of phase j; a candidate is drawn with probability
-    proportional to its own value.
+    ``a`` and ``b`` may be scalars (broadcast over bugs) or per-phase lists
+    of arrays; ``resolve_for_data`` produces the fully expanded form.
+    ``m_weights[j][i]`` lists the candidate trial counts for bug i of phase
+    j; a candidate is drawn with probability proportional to its own value.
     """
 
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
-    mu: np.ndarray | None = None
-    sigma2: np.ndarray | None = None
     a: float | list[np.ndarray] = 1.0
     b: float | list[np.ndarray] = 1.0
-    proposal_rate: float | list[np.ndarray] | None = None
     m_weights: list[list[np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
@@ -189,9 +184,7 @@ def sample_hyper(num_phases: int, seed) -> Hyperparams:
     mu = rng.uniform(0.0, 1.0, size=num_phases)
     sigma2 = rng.uniform(0.0, mu * (1.0 - mu))
     pairs = [solve_beta_hyper(m, s) for m, s in zip(mu, sigma2)]
-    alpha_hat = np.array([p[0] for p in pairs])
-    beta_hat = np.array([p[1] for p in pairs])
-    return Hyperparams(alpha_hat=alpha_hat, beta_hat=beta_hat, mu=mu, sigma2=sigma2)
+    return Hyperparams(alpha_hat=[p[0] for p in pairs], beta_hat=[p[1] for p in pairs])
 
 
 def flat_hyperparams(num_phases: int) -> Hyperparams:
@@ -218,15 +211,13 @@ class HyperConfig:
 
     a: float | list = 1.0
     b: float | list = 1.0
-    proposal_rate: float | list | None = None
     hyper_seed: int | None = None
     mu: float | list | None = None
     sigma2: float | list | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HyperConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown hyperparameter config keys: {sorted(unknown)}")
         return cls(**raw)
@@ -241,30 +232,24 @@ def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hy
     """
     m = len(data)
     if config.mu is not None and config.sigma2 is not None:
-        mu = np.broadcast_to(np.asarray(config.mu, dtype=float), (m,)).copy()
-        sigma2 = np.broadcast_to(np.asarray(config.sigma2, dtype=float), (m,)).copy()
+        mu = np.broadcast_to(np.asarray(config.mu, dtype=float), (m,))
+        sigma2 = np.broadcast_to(np.asarray(config.sigma2, dtype=float), (m,))
         pairs = [solve_beta_hyper(u, s) for u, s in zip(mu, sigma2)]
-        hyper = Hyperparams(
-            alpha_hat=np.array([p[0] for p in pairs]),
-            beta_hat=np.array([p[1] for p in pairs]),
-            mu=mu,
-            sigma2=sigma2,
-        )
+        hyper = Hyperparams(alpha_hat=[p[0] for p in pairs], beta_hat=[p[1] for p in pairs])
     elif (config.mu is None) != (config.sigma2 is None):
         raise ValueError("mu and sigma2 must be configured together")
     else:
         hyper = sample_hyper(m, config.hyper_seed if config.hyper_seed is not None else seed)
-    hyper.a, hyper.b, hyper.proposal_rate = config.a, config.b, config.proposal_rate
+    hyper.a, hyper.b = config.a, config.b
     return hyper
 
 
 def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparams:
     """Expand and validate the bug-level settings against a concrete dataset.
 
-    A scalar ``a``, ``b`` or ``proposal_rate`` is broadcast over every
-    bug; a list must hold one row per phase with one value per bug.
-    Defaults: a = b = 1; proposal rate max(s_ij, 1); trial candidates
-    s_ij times TRIAL_CANDIDATE_MULTIPLIERS.
+    A scalar ``a`` or ``b`` is broadcast over every bug; a list must hold
+    one row per phase with one value per bug.  Defaults: a = b = 1; trial
+    candidates s_ij times TRIAL_CANDIDATE_MULTIPLIERS.
     """
     if hyper.n_phases != len(data):
         raise ValueError(
@@ -289,12 +274,6 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
     b = broadcast(hyper.b, "b")
     if any(np.any(row <= 0) for row in a + b):
         raise ValueError("a and b must be positive")
-    if hyper.proposal_rate is None:
-        rate = [np.maximum(s, 1).astype(float) for s in sizes]
-    else:
-        rate = broadcast(hyper.proposal_rate, "proposal_rate")
-    if any(np.any(row <= 0) for row in rate):
-        raise ValueError("proposal rates must be positive")
     if hyper.m_weights is None:
         multipliers = np.asarray(TRIAL_CANDIDATE_MULTIPLIERS, dtype=np.int64)
         m_weights = [
@@ -302,7 +281,7 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
         ]
     else:
         m_weights = [[np.asarray(w) for w in row] for row in hyper.m_weights]
-    return replace(hyper, a=a, b=b, proposal_rate=rate, m_weights=m_weights)
+    return replace(hyper, a=a, b=b, m_weights=m_weights)
 
 
 @dataclass
@@ -311,9 +290,9 @@ class ChainState:
 
     ``S[j][i]`` must stay within [max(observed size, 1), n_trials]; the
     sampler's Metropolis step reads only the bug it updates and relies on
-    every other bug keeping these bounds.  Per-phase totals ``F`` and the
-    size parameters derived from them are recomputed on demand, never
-    stored, so direct writes to ``S`` can never leave a stale total.
+    every other bug keeping these bounds.  Per-phase totals ``F`` are
+    summed on demand, never stored, so direct writes to ``S`` can never
+    leave a stale total.
     """
 
     S: list[np.ndarray]
@@ -322,20 +301,20 @@ class ChainState:
     n_trials: list[np.ndarray]
 
     @property
-    def F(self) -> np.ndarray:
-        return np.array([float(s.sum()) for s in self.S])
+    def F(self) -> list[int]:
+        return [int(row.sum()) for row in self.S]
 
 
-def cumulative_totals(per_phase_totals) -> np.ndarray:
-    return np.cumsum(np.asarray(per_phase_totals, dtype=float))
-
-
-def nb_sizes(totals_cumulative) -> np.ndarray:
-    """Negative-binomial size parameters r_k = F_k - sum_{i<k} F_i from
-    cumulative totals F."""
-    F = np.asarray(totals_cumulative, dtype=float)
-    prior = np.concatenate(([0.0], np.cumsum(F)[:-1]))
-    return F - prior
+def size_params(per_phase_totals) -> list:
+    """Negative-binomial size parameters r_k = C_k - sum_{i<k} C_i, where
+    C_k = F_1 + ... + F_k cumulates the per-phase totals F; exact for
+    integer totals."""
+    r, cumulative, prior = [], 0, 0
+    for F_k in per_phase_totals:
+        cumulative += F_k
+        r.append(cumulative - prior)
+        prior += cumulative
+    return r
 
 
 def log_likelihood(totals_cumulative, runs_cumulative, p) -> float:
@@ -352,7 +331,7 @@ def log_likelihood(totals_cumulative, runs_cumulative, p) -> float:
         raise ValueError("totals, runs and p must be equal-length vectors")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
-    r = nb_sizes(F)
+    r = size_params(np.diff(F, prepend=0.0).tolist())  # per-phase totals from cumulative
     for k, r_k in enumerate(r):
         if r_k <= 0.0:
             raise InfeasiblePhaseError(k + 1, float(r_k))
@@ -382,8 +361,8 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=No
         if np.any(S_row == 0):
             return -math.inf
 
-    r = nb_sizes(cumulative_totals(state.F))
-    if np.any(r <= 0.0):
+    r = size_params(state.F)
+    if min(r) <= 0:
         return -math.inf
 
     out = 0.0

@@ -1,9 +1,10 @@
 """Metropolis-within-Gibbs sampler for per-phase eventual bug-size totals.
 
 Each sweep updates every S_ij by an independence Metropolis step with a
-Poisson proposal, then every t_ij and every p_j from their conjugate
-Beta conditionals.  Chains run one after another, each reproducible from
-its own sub-seed spawned from a single configured seed.
+Poisson(max(s_ij, 1)) proposal, s_ij being the observed size, then every
+t_ij and every p_j from their conjugate Beta conditionals.  Chains run one
+after another, each reproducible from its own sub-seed spawned from a
+single configured seed.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from .ingest import PhaseSummary
 from .model import (
     ChainState,
     Hyperparams,
-    cumulative_totals,
     log_likelihood,  # noqa: F401 -- not called: bench/run.py traces this name
     log_posterior_S_kernel,  # noqa: F401 -- not called: the reference mh_log_alpha must match
-    nb_sizes,
     resolve_for_data,
     sample_n_trials,
+    size_params,
 )
 
 __all__ = [
@@ -117,22 +117,6 @@ class PosteriorSummary:
         return float(np.mean(rates))
 
 
-def _state_totals(state: ChainState) -> list[int]:
-    return [int(row.sum()) for row in state.S]
-
-
-def _size_params(totals) -> list[int]:
-    """Negative-binomial size parameters r_k = C_k - sum_{i<k} C_i, where
-    C_k = F_1 + ... + F_k, from per-phase integer totals F; the pure-Python
-    counterpart of ``nb_sizes(cumulative_totals(F))``, exact for integers."""
-    r, cumulative, prior = [], 0, 0
-    for F_k in totals:
-        cumulative += F_k
-        r.append(cumulative - prior)
-        prior += cumulative
-    return r
-
-
 def _clamped_beta(rng: np.random.Generator, a: float, b: float, floor: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"Beta parameters must be positive, got ({a}, {b})")
@@ -140,20 +124,19 @@ def _clamped_beta(rng: np.random.Generator, a: float, b: float, floor: float) ->
 
 
 def gibbs_update_p(
-    state: ChainState,
     hyper: Hyperparams,
     data: list[PhaseSummary],
     j: int,
     rng: np.random.Generator,
+    totals: list[int],
     eps_floor: float = 1e-12,
-    totals: list[int] | None = None,
 ) -> float:
     """Draw p_j from its conjugate conditional Beta(N_j + alpha_j, r_j + beta_j).
 
-    `totals` are the per-phase totals of ``state.S`` when the caller
-    already holds them; by default they are summed from the state.
+    `totals` are the per-phase totals of the state's eventual sizes
+    (``ChainState.F``); the sweep carries them instead of summing the state.
     """
-    r_j = float(_size_params(_state_totals(state) if totals is None else totals)[j])
+    r_j = float(size_params(totals)[j])
     if r_j <= 0.0:
         raise ValueError(f"phase {j + 1}: size parameter {r_j} must be positive")
     a = data[j].runs_cumulative + hyper.alpha_hat[j]
@@ -182,16 +165,16 @@ def gibbs_update_t(
 def mh_log_alpha(
     state: ChainState,
     data: list[PhaseSummary],
-    hyper: Hyperparams,
     i: int,
     j: int,
     proposed: int,
-    totals: list[int] | None = None,
+    totals: list[int],
 ) -> float:
     """Log acceptance ratio of an independence Poisson proposal for S_ij.
 
     log alpha = kernel(S') - kernel(S) + [S log lam - log S!]
-    - [S' log lam - log S'!], where the kernel difference is computed
+    - [S' log lam - log S'!], where the proposal rate lam = max(s_ij, 1)
+    is also the floor S' must reach, and the kernel difference is computed
     from the terms the move touches, in O(phases): bug (i, j)'s own
     size-biased binomial term, and the negative-binomial terms of the
     phases whose size parameter moves.  With delta = S' - S, r_j moves
@@ -201,12 +184,12 @@ def mh_log_alpha(
     above the trial count, or breaking a phase's size-parameter
     positivity are rejected outright (-inf); from an infeasible current
     state any feasible proposal is accepted (+inf).  `totals` are the
-    per-phase totals of ``state.S`` when the caller already holds them; by
-    default they are summed from the state.
+    per-phase totals of ``state.S`` (``state.F``).
     """
-    s_obs = int(data[j].observed_sizes[i])
+    s = data[j].observed_sizes[i]
+    lam = s if s > 1 else 1  # max(s, 1), without the call on the hot path
     n_ij = int(state.n_trials[j][i])
-    if proposed < max(s_obs, 1) or proposed > n_ij:
+    if proposed < lam or proposed > n_ij:
         return -math.inf
     current = int(state.S[j][i])
     if proposed == current:
@@ -215,7 +198,7 @@ def mh_log_alpha(
         raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
     delta = proposed - current
-    r = _size_params(_state_totals(state) if totals is None else totals)
+    r = size_params(totals)
     r_new = list(r)
     r_new[j] += delta
     for k in range(j + 2, len(r)):
@@ -236,7 +219,6 @@ def mh_log_alpha(
         out -= lgamma(N_k + r[k]) - lgamma(r[k])
         out += (r_new[k] - r[k]) * log1p(-float(state.p[k]))
 
-    lam = float(hyper.proposal_rate[j][i])
     correction = (current * log(lam) - lgamma(current + 1.0)) - (
         proposed * log(lam) - lgamma(proposed + 1.0)
     )
@@ -245,20 +227,21 @@ def mh_log_alpha(
 
 def mh_update_S(
     state: ChainState,
-    hyper: Hyperparams,
     data: list[PhaseSummary],
     i: int,
     j: int,
     rng: np.random.Generator,
-    totals: list[int] | None = None,
+    totals: list[int],
 ) -> tuple[int, bool]:
     """One Metropolis step for S_ij; returns (new value, accepted).
 
-    `totals` is passed on to `mh_log_alpha`; the step does not change it.
+    `totals` (``state.F``) is passed on to `mh_log_alpha`; the step does
+    not change it.
     """
     current = int(state.S[j][i])
-    proposed = int(rng.poisson(float(hyper.proposal_rate[j][i])))
-    log_alpha = mh_log_alpha(state, data, hyper, i, j, proposed, totals)
+    s = data[j].observed_sizes[i]
+    proposed = int(rng.poisson(s if s > 1 else 1))  # Poisson(max(s_ij, 1))
+    log_alpha = mh_log_alpha(state, data, i, j, proposed, totals)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
@@ -299,12 +282,11 @@ def init_state(
     ]
     total_slack = int(sum((n - s).sum() for n, s in zip(n_trials, S)))
     for _ in range(total_slack + 1):
-        r = nb_sizes(cumulative_totals([row.sum() for row in S]))
-        bad = np.flatnonzero(r <= 0.0)
-        if bad.size == 0:
+        r = size_params([int(row.sum()) for row in S])
+        if min(r) > 0:
             break
-        k = int(bad[0])
-        need = int(math.floor(1.0 - r[k]))
+        k = next(k for k, r_k in enumerate(r) if r_k <= 0)
+        need = 1 - r[k]
         slack = n_trials[k] - S[k]
         if slack.sum() < need:
             raise InitializationError(
@@ -334,10 +316,7 @@ def _run_single_chain(data, hyper, config, seed_seq):
     # The updates read one bug's prior at a time: Python floats index faster
     # than numpy rows.
     hyper = replace(
-        hyper,
-        a=[row.tolist() for row in hyper.a],
-        b=[row.tolist() for row in hyper.b],
-        proposal_rate=[row.tolist() for row in hyper.proposal_rate],
+        hyper, a=[row.tolist() for row in hyper.a], b=[row.tolist() for row in hyper.b]
     )
     m = len(data)
     n_bugs = [s.distinct_bugs for s in data]
@@ -346,14 +325,14 @@ def _run_single_chain(data, hyper, config, seed_seq):
     accept_counts = [np.zeros(n, dtype=np.int64) for n in n_bugs]
     # Per-phase totals of state.S, moved with every accepted S step so the
     # updates need not sum the state.
-    F = _state_totals(state)
+    F = state.F
 
     out = 0
     for it in range(config.iterations):
         for j in range(m):
             S_row = state.S[j]
             for i in range(n_bugs[j]):
-                new_S, accepted = mh_update_S(state, hyper, data, i, j, rng, F)
+                new_S, accepted = mh_update_S(state, data, i, j, rng, F)
                 if accepted:
                     F[j] += new_S - int(S_row[i])
                     S_row[i] = new_S
@@ -362,7 +341,7 @@ def _run_single_chain(data, hyper, config, seed_seq):
             for i in range(n_bugs[j]):
                 state.t[j][i] = gibbs_update_t(state, hyper, i, j, rng, config.epsilon_floor)
         for j in range(m):
-            state.p[j] = gibbs_update_p(state, hyper, data, j, rng, config.epsilon_floor, F)
+            state.p[j] = gibbs_update_p(hyper, data, j, rng, F, config.epsilon_floor)
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             draws[out] = F

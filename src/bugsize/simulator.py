@@ -9,12 +9,19 @@ model-comparison tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .ingest import TestLogRecord
-from .model import binomial_pmf, cumulative_totals, nb_sizes, size_biased_pmf
+from .model import (
+    Hyperparams,
+    binomial_pmf,
+    flat_hyperparams,
+    size_biased_pmf,
+    size_params,
+    solve_beta_hyper,
+)
 
 __all__ = [
     "ScenarioInfeasibleError",
@@ -24,6 +31,7 @@ __all__ = [
     "generate",
     "default_scenario",
     "matched_t_prior",
+    "oracle_hyperparams",
 ]
 
 
@@ -47,6 +55,9 @@ class ScenarioConfig:
             raise ValueError("phases must be >= 1")
         if len(self.bugs_per_phase) != self.phases or any(b < 1 for b in self.bugs_per_phase):
             raise ValueError("bugs_per_phase needs one positive entry per phase")
+        for name in ("n_trials_range", "t_range"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must list two values, low and high")
         lo, hi = self.n_trials_range
         if not 1 <= lo <= hi:
             raise ValueError("n_trials_range must be a non-empty range of positive integers")
@@ -60,15 +71,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
-        raw = dict(raw)
-        for key in ("bugs_per_phase", "p_true", "n_trials_range", "t_range"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ValueError(f"missing scenario config keys: {missing}")
+        # JSON lists become the tuples the fields hold
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,8 @@ def generate(config: ScenarioConfig) -> tuple[TestLog, GroundTruth]:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     for _ in range(config.max_retries):
         trials, rates, eventual = _draw_latents(config, rng)
-        totals = np.array([float(row.sum()) for row in eventual])
-        r = nb_sizes(cumulative_totals(totals))
-        if np.all(r > 0):
+        r = size_params([int(row.sum()) for row in eventual])
+        if min(r) > 0:
             break
     else:
         raise ScenarioInfeasibleError(
@@ -200,8 +209,6 @@ def matched_t_prior(t_range: tuple[float, float]) -> tuple[float, float]:
     that tilt.  The first shape is floored at 0.5 since wide ranges push
     the matched value toward zero.
     """
-    from .model import solve_beta_hyper
-
     lo, hi = t_range
     mean = (lo + hi) / 2.0
     var = (hi - lo) ** 2 / 12.0
@@ -209,3 +216,19 @@ def matched_t_prior(t_range: tuple[float, float]) -> tuple[float, float]:
         return max(20.0 * mean, 0.5), max(20.0 * (1.0 - mean), 0.5)
     alpha, beta = solve_beta_hyper(mean, var)
     return max(alpha - 1.0, 0.5), beta
+
+
+def oracle_hyperparams(truth: GroundTruth, t_range: tuple[float, float]) -> Hyperparams:
+    """Hyperparameters carrying a simulated log's structural knowns.
+
+    Flat Beta(1, 1) phase priors, the detection-rate prior
+    ``matched_t_prior(t_range)``, and each logged bug's trial count pinned
+    to its true n_ij (a single candidate), in the order ``summarize_phases``
+    lists the logged bugs.
+    """
+    a, b = matched_t_prior(t_range)
+    m_weights = [
+        [np.array([int(n)]) for n, s in zip(n_row, s_row) if s >= 1]
+        for n_row, s_row in zip(truth.trials, truth.observed)
+    ]
+    return replace(flat_hyperparams(len(truth.trials)), a=a, b=b, m_weights=m_weights)

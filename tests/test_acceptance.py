@@ -14,7 +14,6 @@ from bugsize.ingest import PhaseSummary, summarize_phases
 from bugsize.model import (
     ChainState,
     flat_hyperparams,
-    nb_sizes,
     log_likelihood,
     resolve_for_data,
 )
@@ -27,7 +26,7 @@ from bugsize.predictor import (
     temporal_weights,
 )
 from bugsize.sampler import SamplerConfig, gibbs_update_p, gibbs_update_t, mh_update_S, run_chain
-from bugsize.simulator import ScenarioConfig, generate, matched_t_prior
+from bugsize.simulator import ScenarioConfig, generate, oracle_hyperparams
 
 TABLE_TOTALS = [34007.0, 36157.0, 57738.0, 11409.0, 6.9e-10]
 
@@ -69,7 +68,7 @@ def test_criterion_1_exact_posterior_oracle():
     counts = np.zeros(len(support))
     burn, retained = 2_000, 100_000
     for it in range(burn + retained):
-        new, _ = mh_update_S(state, resolved, data, 0, 0, rng)
+        new, _ = mh_update_S(state, data, 0, 0, rng, state.F)
         state.S[0][0] = new
         if it >= burn:
             counts[new - s] += 1
@@ -93,7 +92,7 @@ def test_criterion_2_conjugacy_equivalence():
         S=[np.array([3])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([6])]
     )
     rng = np.random.default_rng(17)
-    mean_p = np.mean([gibbs_update_p(state, resolved, data, 0, rng) for _ in range(draws)])
+    mean_p = np.mean([gibbs_update_p(resolved, data, 0, rng, state.F) for _ in range(draws)])
     a, b = 7.0, 7.0
     se_p = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)) / draws)
     ok_p = abs(mean_p - a / (a + b)) < 3 * se_p
@@ -125,11 +124,12 @@ def test_criterion_3_likelihood_brute_force():
         while True:
             per_phase = rng.integers(1, 8, size=m)
             totals = np.cumsum(per_phase)
-            if totals[-1] <= 30 and np.all(nb_sizes(totals) > 0):
+            # r_k = C_k - sum_{i<k} C_i over the cumulative totals C
+            r = [totals[k] - totals[:k].sum() for k in range(m)]
+            if totals[-1] <= 30 and min(r) > 0:
                 break
         N = rng.integers(0, 12, size=m)
         p = rng.uniform(0.05, 0.95, size=m)
-        r = nb_sizes(totals)
         brute = 1.0
         for k in range(m):
             brute *= (
@@ -152,7 +152,6 @@ def test_criterion_4_estimator_recovery():
     tilt.
     """
     start = time.time()
-    a_cfg, b_cfg = matched_t_prior((0.35, 0.85))
     covered = total = skipped = 0
     for i in range(50):
         phases = 2 + (i % 2)
@@ -171,12 +170,7 @@ def test_criterion_4_estimator_recovery():
         if any(s.distinct_bugs == 0 for s in summaries):
             skipped += 1
             continue
-        hyper = flat_hyperparams(len(summaries))
-        hyper.a, hyper.b = a_cfg, b_cfg
-        hyper.m_weights = [
-            [np.array([int(n)]) for n, s in zip(truth.trials[j], truth.observed[j]) if s >= 1]
-            for j in range(len(summaries))
-        ]
+        hyper = oracle_hyperparams(truth, scenario.t_range)
         config = SamplerConfig(chains=2, iterations=1500, burn_in=500, thin=1, seed=2000 + i)
         posterior = run_chain(summaries, hyper, config)
         low, high = posterior.F_ci

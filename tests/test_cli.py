@@ -220,7 +220,7 @@ class TestFitConfig:
         )
 
     def test_per_phase_lists_match_scalars(self, capsys, sample_log, tmp_path):
-        scalar = {"a": 2.0, "b": 3.0, "proposal_rate": 12.0}
+        scalar = {"a": 2.0, "b": 3.0}
         lists = {key: [[value] * 3, [value]] for key, value in scalar.items()}
         code, out_scalar, _ = self.fit(capsys, sample_log, tmp_path, scalar)
         assert code == 0
@@ -233,10 +233,28 @@ class TestFitConfig:
         assert code == 1
         assert "phase 1: expected 3 per-bug values" in err
 
-    def test_du_bound_is_unknown_key(self, capsys, sample_log, tmp_path):
-        code, _, err = self.fit(capsys, sample_log, tmp_path, {"du_bound": 16})
-        assert code == 1
-        assert "du_bound" in err
+    @pytest.mark.parametrize("key", ["du_bound", "proposal_rate"])
+    def test_du_bound_is_unknown_key(self, capsys, sample_log, tmp_path, key):
+        # the proposal rate is max(observed size, 1); no config sets it
+        code, out, err = self.fit(capsys, sample_log, tmp_path, {key: 12})
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown hyperparameter config keys: ['{key}']\n"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"a": {"x": 1}}, "'a' must be a number or per-phase lists of numbers, got {\"x\": 1}"),
+            (
+                {"b": [[1, "y"], [1], [1]]},
+                "'b' must be a number or per-phase lists of numbers, got [[1, \"y\"], [1], [1]]",
+            ),
+            ({"mu": "x", "sigma2": 0.1}, "'mu' must be a number or a list of numbers, got \"x\""),
+        ],
+        ids=["a-object", "b-string-in-row", "mu-string"],
+    )
+    def test_value_of_wrong_type_exits_1(self, capsys, sample_log, tmp_path, config, message):
+        code, out, err = self.fit(capsys, sample_log, tmp_path, config)
+        assert (code, out, err) == (1, "", f"error: config {message}\n")
 
     def test_hyper_seed_of_wrong_type_exits_1(self, capsys, sample_log, tmp_path):
         code, out, err = self.fit(capsys, sample_log, tmp_path, {"hyper_seed": "x"})
@@ -487,12 +505,23 @@ class TestScenarioValueTypes:
         [
             ({"phases": "2"}, 'scenario \'phases\' must be an integer, got "2"'),
             ({"bugs_per_phase": 3}, "scenario 'bugs_per_phase' must be a list of integers"),
+            ({"n_trials_range": [6]}, "n_trials_range must list two values, low and high"),
+            ({"t_range": [0.3, 0.5, 0.8]}, "t_range must list two values, low and high"),
         ],
-        ids=["phases-string", "bugs_per_phase-number"],
+        ids=["phases-string", "bugs_per_phase-number", "n_trials_range-short", "t_range-long"],
     )
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_scenario(self, capsys, tmp_path, command, change, message):
         self.check(capsys, tmp_path, [command], {**SCENARIO, **change}, message)
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_missing_keys(self, capsys, tmp_path, command):
+        # no merging with the default scenario: a document names every key
+        message = (
+            "missing scenario config keys: "
+            "['bugs_per_phase', 'n_trials_range', 't_range', 'p_true']"
+        )
+        self.check(capsys, tmp_path, [command], {"phases": 2}, message)
 
     @pytest.mark.parametrize(
         "change, message",

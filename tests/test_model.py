@@ -11,14 +11,13 @@ from bugsize.model import (
     DiscretePmf,
     InfeasiblePhaseError,
     binomial_pmf,
-    cumulative_totals,
     log_likelihood,
     log_posterior_S_kernel,
-    nb_sizes,
     resolve_for_data,
     sample_hyper,
     sample_n_trials,
     size_biased_pmf,
+    size_params,
     solve_beta_hyper,
 )
 
@@ -96,8 +95,11 @@ class TestSampleHyper:
     def test_variance_inside_support(self):
         for seed in range(25):
             hyper = sample_hyper(3, seed)
-            assert np.all(hyper.sigma2 < hyper.mu * (1 - hyper.mu))
-            assert np.all(hyper.sigma2 > 0)
+            total = hyper.alpha_hat + hyper.beta_hat
+            mu = hyper.alpha_hat / total
+            sigma2 = mu * (1 - mu) / (total + 1)
+            assert np.all(sigma2 < mu * (1 - mu))
+            assert np.all(sigma2 > 0)
 
     def test_single_phase_positive(self):
         hyper = sample_hyper(1, 1234)
@@ -150,11 +152,12 @@ class TestLogLikelihood:
             while True:
                 per_phase = rng.integers(1, 8, size=m)
                 F = np.cumsum(per_phase)
-                if F[-1] <= 30 and np.all(nb_sizes(F) > 0):
+                # r_k = F_k - sum_{i<k} F_i over the cumulative totals F
+                r = [F[k] - F[:k].sum() for k in range(m)]
+                if F[-1] <= 30 and min(r) > 0:
                     break
             N = rng.integers(0, 12, size=m)
             p = rng.uniform(0.05, 0.95, size=m)
-            r = nb_sizes(F)
             brute = 1.0
             for k in range(m):
                 brute *= (
@@ -179,7 +182,7 @@ def _two_bug_instance():
 def _brute_kernel_product(S_rows, t_rows, n_rows, p, N):
     f = [sum(row) for row in S_rows]
     F = np.cumsum(f)
-    r = nb_sizes(F)
+    r = [F[k] - F[:k].sum() for k in range(len(f))]
     out = 1.0
     for k in range(len(f)):
         out *= math.comb(int(N[k] + r[k] - 1), int(N[k])) * (1 - p[k]) ** r[k]
@@ -245,11 +248,10 @@ class TestResolveForData:
     def test_defaults(self):
         data = [PhaseSummary(1, 5, {1: 2, 2: 3}), PhaseSummary(2, 9, {3: 1})]
         hyper = resolve_for_data(sample_hyper(2, 0), data)
-        assert [row.tolist() for row in hyper.proposal_rate] == [[2.0, 3.0], [1.0]]
         assert hyper.m_weights[0][0].tolist() == [2, 4, 6, 8]
         assert hyper.a[0].shape == (2,)
 
-    @pytest.mark.parametrize("name", ["a", "b", "proposal_rate"])
+    @pytest.mark.parametrize("name", ["a", "b"])
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -271,6 +273,11 @@ class TestResolveForData:
             resolve_for_data(sample_hyper(2, 0), data)
 
 
-def test_nb_sizes_cumulative_reading():
-    assert nb_sizes([4.0, 9.0, 14.0]).tolist() == [4.0, 5.0, 1.0]
-    assert cumulative_totals([4, 5, 5]).tolist() == [4.0, 9.0, 14.0]
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+def test_size_params_match_definition(per_phase):
+    # r_k = C_k - sum_{i<k} C_i, where C_k = F_1 + ... + F_k
+    C = [sum(per_phase[: k + 1]) for k in range(len(per_phase))]
+    r = size_params(per_phase)
+    assert r == [C[k] - sum(C[:k]) for k in range(len(C))]
+    assert all(type(r_k) is int for r_k in r)
+    assert size_params([4, 5, 5]) == [4, 5, 1]

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bugsize.model import (
     flat_hyperparams,
     log_posterior_S_kernel,
     resolve_for_data,
+    size_params,
 )
 from bugsize.sampler import (
     ChainDiagnostics,
@@ -41,13 +43,11 @@ class RecordingRng:
         return 0.5
 
 
-def _single_bug_setup(s=3, n=10, N=5, p=0.5, t=0.5, a=1.0, b=1.0, lam=None):
+def _single_bug_setup(s=3, n=10, N=5, p=0.5, t=0.5, a=1.0, b=1.0):
     data = [PhaseSummary(1, N, {1: s})]
     hyper = flat_hyperparams(1)
     hyper.a, hyper.b = a, b
     hyper.m_weights = [[np.array([n])]]
-    if lam is not None:
-        hyper.proposal_rate = lam
     resolved = resolve_for_data(hyper, data)
     state = ChainState(
         S=[np.array([s])], p=np.array([p]), t=[np.array([t])], n_trials=[np.array([n])]
@@ -61,9 +61,7 @@ def _three_phase_setup():
         PhaseSummary(2, 25, {3: 2, 4: 1}),
         PhaseSummary(3, 45, {5: 3, 6: 2}),
     ]
-    hyper = flat_hyperparams(3)
-    hyper.proposal_rate = [np.array([2.5, 3.0]), np.array([3.0, 2.0]), np.array([4.0, 3.5])]
-    return data, resolve_for_data(hyper, data), _three_phase_state()
+    return data, _three_phase_state()
 
 
 def _three_phase_state():
@@ -76,32 +74,32 @@ def _three_phase_state():
     )
 
 
-def _reference_log_alpha(state, data, hyper, i, j, proposed, offset=0.0):
+def _reference_log_alpha(state, data, i, j, proposed, offset=0.0):
     """The acceptance ratio from two full-kernel passes (plus a constant)."""
     current = int(state.S[j][i])
-    if proposed < max(int(data[j].observed_sizes[i]), 1) or proposed > state.n_trials[j][i]:
+    lam = max(int(data[j].observed_sizes[i]), 1)
+    if proposed < lam or proposed > state.n_trials[j][i]:
         return -math.inf
     if proposed == current:
         return 0.0
-    kernel_current = log_posterior_S_kernel(state, data, hyper) + offset
+    kernel_current = log_posterior_S_kernel(state, data) + offset
     state.S[j][i] = proposed
-    kernel_proposed = log_posterior_S_kernel(state, data, hyper) + offset
+    kernel_proposed = log_posterior_S_kernel(state, data) + offset
     state.S[j][i] = current
     if kernel_proposed == -math.inf:
         return -math.inf
     if kernel_current == -math.inf:
         return math.inf
-    lam = float(hyper.proposal_rate[j][i])
     correction = (current * math.log(lam) - math.lgamma(current + 1.0)) - (
         proposed * math.log(lam) - math.lgamma(proposed + 1.0)
     )
     return kernel_proposed - kernel_current + correction
 
 
-def _reference_update(state, hyper, data, i, j, rng, offset=0.0):
+def _reference_update(state, data, i, j, rng, offset=0.0):
     current = int(state.S[j][i])
-    proposed = int(rng.poisson(float(hyper.proposal_rate[j][i])))
-    log_alpha = _reference_log_alpha(state, data, hyper, i, j, proposed, offset)
+    proposed = int(rng.poisson(max(int(data[j].observed_sizes[i]), 1)))
+    log_alpha = _reference_log_alpha(state, data, i, j, proposed, offset)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
@@ -120,7 +118,7 @@ class TestGibbsP:
             S=[np.array([3])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([6])]
         )
         rng = RecordingRng()
-        gibbs_update_p(state, hyper, data, 0, rng)
+        gibbs_update_p(hyper, data, 0, rng, state.F)
         assert rng.calls == [(7.0, 7.0)]
 
     def test_long_run_mean_beta_1_2(self):
@@ -131,7 +129,7 @@ class TestGibbsP:
             S=[np.array([1])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([4])]
         )
         rng = np.random.default_rng(5)
-        draws = [gibbs_update_p(state, hyper, data, 0, rng) for _ in range(100_000)]
+        draws = [gibbs_update_p(hyper, data, 0, rng, state.F) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(1 / 3, abs=0.005)
 
     def test_infeasible_size_parameter_rejected(self):
@@ -144,7 +142,7 @@ class TestGibbsP:
             n_trials=[np.array([6])] * 3,
         )
         with pytest.raises(ValueError, match="positive"):
-            gibbs_update_p(state, hyper, data, 2, np.random.default_rng(0))
+            gibbs_update_p(hyper, data, 2, np.random.default_rng(0), state.F)
 
 
 class TestGibbsT:
@@ -178,25 +176,27 @@ class TestGibbsT:
 
 class TestMetropolisStep:
     def test_identity_proposal_always_accepted(self):
-        data, hyper, state = _single_bug_setup()
-        assert mh_log_alpha(state, data, hyper, 0, 0, int(state.S[0][0])) == 0.0
+        data, _, state = _single_bug_setup()
+        assert mh_log_alpha(state, data, 0, 0, int(state.S[0][0]), state.F) == 0.0
 
     def test_zero_proposal_rejected(self):
-        data, hyper, state = _single_bug_setup(s=1)
-        assert mh_log_alpha(state, data, hyper, 0, 0, 0) == -math.inf
+        data, _, state = _single_bug_setup(s=1)
+        assert mh_log_alpha(state, data, 0, 0, 0, state.F) == -math.inf
 
     def test_below_observed_floor_rejected(self):
-        data, hyper, state = _single_bug_setup(s=3)
-        assert mh_log_alpha(state, data, hyper, 0, 0, 2) == -math.inf
+        data, _, state = _single_bug_setup(s=3)
+        assert mh_log_alpha(state, data, 0, 0, 2, state.F) == -math.inf
 
     def test_above_trial_count_rejected(self):
-        data, hyper, state = _single_bug_setup(s=3, n=10)
-        assert mh_log_alpha(state, data, hyper, 0, 0, 11) == -math.inf
+        data, _, state = _single_bug_setup(s=3, n=10)
+        assert mh_log_alpha(state, data, 0, 0, 11, state.F) == -math.inf
 
     def test_acceptance_matches_direct_ratio(self):
-        # brute-force evaluation of the kernel-ratio-times-proposal-correction
-        s, n, N, p, t, lam = 1, 6, 4, 0.55, 0.45, 2.0
-        data, hyper, state = _single_bug_setup(s=s, n=n, N=N, p=p, t=t, lam=lam)
+        # brute-force evaluation of the kernel-ratio-times-proposal-correction;
+        # the proposal rate is the observed floor max(s, 1)
+        s, n, N, p, t = 2, 6, 4, 0.55, 0.45
+        lam = s
+        data, _, state = _single_bug_setup(s=s, n=n, N=N, p=p, t=t)
 
         def kernel_product(S):
             return (
@@ -219,22 +219,22 @@ class TestMetropolisStep:
                     / (lam**proposed * math.factorial(current))
                 )
                 expected = min(1.0, ratio)
-                log_alpha = mh_log_alpha(state, data, hyper, 0, 0, proposed)
+                log_alpha = mh_log_alpha(state, data, 0, 0, proposed, state.F)
                 assert math.exp(min(log_alpha, 0.0)) == pytest.approx(expected, rel=1e-12)
 
     def test_accept_reject_invariant_to_kernel_offset(self):
         # 200 decisions of the local-delta step against a reference step that
         # scores each proposal by two full-kernel passes shifted by a constant
-        data, hyper, _ = _three_phase_setup()
+        data, _ = _three_phase_setup()
         fast_state, ref_state = _three_phase_state(), _three_phase_state()
         fast_rng, ref_rng = np.random.default_rng(123), np.random.default_rng(123)
         bugs = [(i, j) for j, summary in enumerate(data) for i in range(summary.distinct_bugs)]
         fast, ref = [], []
         for step in range(200):
             i, j = bugs[step % len(bugs)]
-            fast.append(mh_update_S(fast_state, hyper, data, i, j, fast_rng))
+            fast.append(mh_update_S(fast_state, data, i, j, fast_rng, fast_state.F))
             fast_state.S[j][i] = fast[-1][0]
-            ref.append(_reference_update(ref_state, hyper, data, i, j, ref_rng, offset=7.31))
+            ref.append(_reference_update(ref_state, data, i, j, ref_rng, offset=7.31))
             ref_state.S[j][i] = ref[-1][0]
         assert fast == ref
         assert 0 < sum(accepted for _, accepted in fast) < 200
@@ -244,25 +244,25 @@ class TestMetropolisStep:
             raise AssertionError("the Metropolis step evaluated the full kernel")
 
         monkeypatch.setattr(sampler_mod, "log_posterior_S_kernel", forbidden)
-        data, hyper, state = _three_phase_setup()
+        data, state = _three_phase_setup()
         rng = np.random.default_rng(8)
         for _ in range(20):
             for j, summary in enumerate(data):
                 for i in range(summary.distinct_bugs):
-                    state.S[j][i] = mh_update_S(state, hyper, data, i, j, rng)[0]
+                    state.S[j][i] = mh_update_S(state, data, i, j, rng, state.F)[0]
 
     def test_moved_size_parameter_nonpositive_rejected(self):
         # totals (5, 6, 6): r = (5, 6, 1); raising S_11 by 1 moves r_3 to 0
-        data, hyper, state = _three_phase_setup()
-        assert mh_log_alpha(state, data, hyper, 0, 0, 4) == -math.inf
-        assert _reference_log_alpha(state, data, hyper, 0, 0, 4) == -math.inf
+        data, state = _three_phase_setup()
+        assert mh_log_alpha(state, data, 0, 0, 4, state.F) == -math.inf
+        assert _reference_log_alpha(state, data, 0, 0, 4) == -math.inf
 
     def test_infeasible_current_state_accepts_feasible_proposal(self):
         # totals (5, 6, 4): r_3 = -1; lowering S_11 by 2 moves r_3 to 1
-        data, hyper, state = _three_phase_setup()
+        data, state = _three_phase_setup()
         state.S[2][0] = 2
-        assert mh_log_alpha(state, data, hyper, 0, 0, 1) == math.inf
-        assert _reference_log_alpha(state, data, hyper, 0, 0, 1) == math.inf
+        assert mh_log_alpha(state, data, 0, 0, 1, state.F) == math.inf
+        assert _reference_log_alpha(state, data, 0, 0, 1) == math.inf
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -280,12 +280,6 @@ class TestMetropolisStep:
             sizes.append(np.array(S_row))
             trials.append(np.array(n_row))
         unit = st.floats(0.02, 0.98)
-        hyper = flat_hyperparams(phases)
-        hyper.proposal_rate = [
-            np.array(draw.draw(st.lists(st.floats(0.5, 12.0), min_size=len(row), max_size=len(row))))
-            for row in sizes
-        ]
-        hyper = resolve_for_data(hyper, data)
         state = ChainState(
             S=sizes,
             p=np.array(draw.draw(st.lists(unit, min_size=phases, max_size=phases))),
@@ -296,11 +290,8 @@ class TestMetropolisStep:
         i = draw.draw(st.integers(0, len(sizes[j]) - 1))
         proposed = draw.draw(st.integers(0, int(trials[j][i]) + 1))
 
-        expected = _reference_log_alpha(state, data, hyper, i, j, proposed)
-        actual = mh_log_alpha(state, data, hyper, i, j, proposed)
-        # the sweep passes its carried totals; the ratio must not change
-        totals = [int(row.sum()) for row in sizes]
-        assert mh_log_alpha(state, data, hyper, i, j, proposed, totals) == actual
+        expected = _reference_log_alpha(state, data, i, j, proposed)
+        actual = mh_log_alpha(state, data, i, j, proposed, state.F)
         if math.isinf(expected):
             assert actual == expected
         else:
@@ -330,9 +321,7 @@ class TestInitState:
         assert state.S[0].tolist() == [5]
         assert state.S[1].tolist() == [6]
         assert state.S[2][0] == 6  # raised from 2 until r_3 = 1
-        from bugsize.model import cumulative_totals, nb_sizes
-
-        assert np.all(nb_sizes(cumulative_totals(state.F)) > 0)
+        assert size_params(state.F) == [5, 6, 1]
 
     def test_repair_without_slack_fails(self):
         data = [
@@ -390,22 +379,28 @@ class TestRunChain:
 
     def test_carried_totals_match_state_after_every_update(self, monkeypatch):
         # The sweep hands its running per-phase totals to every S step and
-        # p update.  Each call checks them against the state, so each S
-        # step, accepted or not, is checked by the call after it.
+        # p update.  Each call checks them against the chain's state, so each
+        # S step, accepted or not, is checked by the call after it.
         calls = {"mh_update_S": 0, "gibbs_update_p": 0}
         seen = set()
+        states = []
+
+        def capture_state(*args):
+            states.append(init_state(*args))
+            return states[-1]
 
         def checked(update):
-            def wrapper(state, *args):
-                totals = args[-1]
+            def wrapper(*args):
+                totals = inspect.signature(update).bind(*args).arguments["totals"]
                 assert isinstance(totals, list)
-                assert totals == state.F.tolist()
+                assert totals == states[-1].F
                 calls[update.__name__] += 1
                 seen.add(tuple(totals))
-                return update(state, *args)
+                return update(*args)
 
             return wrapper
 
+        monkeypatch.setattr(sampler_mod, "init_state", capture_state)
         monkeypatch.setattr(sampler_mod, "mh_update_S", checked(mh_update_S))
         monkeypatch.setattr(sampler_mod, "gibbs_update_p", checked(gibbs_update_p))
         data = [
@@ -416,6 +411,7 @@ class TestRunChain:
         config = SamplerConfig(chains=2, iterations=150, burn_in=50, seed=12)
         run_chain(data, flat_hyperparams(3), config)
         assert calls == {"mh_update_S": 2 * 150 * 6, "gibbs_update_p": 2 * 150 * 3}
+        assert len(states) == 2
         assert len(seen) > 10  # the totals did move
 
     def test_nonincreasing_runs_rejected(self):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -24,3 +26,21 @@ def test_calibration_script_runs():
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("phases covered") == 2
     assert "coverage" in done.stdout
+
+
+def test_benchmark_traced_names_resolve():
+    # bench/run.py wraps each name of its TRACED table on its bugsize module;
+    # read the table without importing the benchmark
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+    ]
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"bugsize.{module}"), name)
+    ]
+    assert traced and missing == []

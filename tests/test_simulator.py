@@ -1,15 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 from bugsize.ingest import summarize_phases
-from bugsize.model import binomial_pmf, nb_sizes, size_biased_pmf
+from bugsize.model import binomial_pmf, size_biased_pmf
 from bugsize.simulator import (
     ScenarioConfig,
     ScenarioInfeasibleError,
     default_scenario,
     generate,
     matched_t_prior,
+    oracle_hyperparams,
 )
 
 
@@ -49,7 +52,9 @@ class TestGenerate:
             log, truth = generate(small_scenario(seed))
             runs = truth.runs_cumulative
             assert all(b > a for a, b in zip(runs, runs[1:]))
-            assert np.all(nb_sizes(np.cumsum(truth.per_phase_totals)) > 0)
+            # r_k = C_k - sum_{i<k} C_i over the cumulative totals C
+            C = np.cumsum(truth.per_phase_totals)
+            assert all(C[k] - C[:k].sum() > 0 for k in range(len(C)))
 
     def test_eventual_sizes_never_zero(self):
         for seed in range(20):
@@ -153,3 +158,22 @@ def test_scenario_config_validation():
         small_scenario(bugs_per_phase=(3,))
     with pytest.raises(ValueError, match="unknown scenario"):
         ScenarioConfig.from_dict({"phases": 1, "bogus": 2})
+    with pytest.raises(ValueError, match="n_trials_range must list two values"):
+        small_scenario(n_trials_range=(6,))
+    with pytest.raises(ValueError, match="t_range must list two values"):
+        small_scenario(t_range=(0.3, 0.5, 0.8))
+    missing = "missing scenario config keys: ['n_trials_range', 't_range', 'p_true', 'seed']"
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        ScenarioConfig.from_dict({"phases": 2, "bugs_per_phase": [3, 3]})
+
+
+def test_oracle_hyperparams_pin_logged_bugs():
+    config = small_scenario(9)
+    log, truth = generate(config)
+    summaries = summarize_phases(log.records, log.runs_per_phase)
+    hyper = oracle_hyperparams(truth, config.t_range)
+    assert (hyper.a, hyper.b) == matched_t_prior(config.t_range)
+    assert hyper.alpha_hat.tolist() == [1.0, 1.0] and hyper.beta_hat.tolist() == [1.0, 1.0]
+    for summary, row, n_row, s_row in zip(summaries, hyper.m_weights, truth.trials, truth.observed):
+        assert len(row) == summary.distinct_bugs
+        assert [w.tolist() for w in row] == [[n] for n, s in zip(n_row, s_row) if s >= 1]
