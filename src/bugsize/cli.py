@@ -9,14 +9,16 @@ codes: 0 on success, 1 on validation errors, 2 on runtime/model errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import sys
+import types
+import typing
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # Only ingest is imported here; every handler imports the modules it runs,
 # so ingest and decide never load numpy.  Handlers call through the module
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 # sees the call.
 from . import ingest as ingest_mod
 
-if TYPE_CHECKING:
+if typing.TYPE_CHECKING:
     from .decision import StopDecision
     from .sampler import PosteriorSummary
 
@@ -60,90 +62,101 @@ def _file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None):
+    """The JSON document at ``path``, or an empty object without one."""
     if not path:
         return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+class _Mismatch(Exception):
+    """A config value is not of the JSON type its field asks for."""
+
+
+def _read_config(cls, raw, where: str):
+    """Build the dataclass ``cls`` from the JSON object ``raw``, with the
+    field annotations as its schema.  Unknown and missing keys and values
+    of the wrong JSON type raise a ValueError naming the key within
+    ``where``.  JSON lists become tuples where the field is a tuple; every
+    other value passes through unchanged."""
     if not isinstance(raw, dict):
-        raise ValueError("config document must hold a JSON object")
-    return raw
+        raise ValueError(f"{where} must be an object, got {json.dumps(raw)}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys: {unknown}")
+    fields = dataclasses.fields(cls)
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"{where} is missing keys: {missing}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _config_value(value, hints[key], f"{where} '{key}'")
+        except _Mismatch:
+            kind = _describe(hints[key])
+            raise ValueError(f"{where} '{key}' must be {kind}, got {json.dumps(value)}") from None
+    return cls(**values)
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+def _config_value(value, hint, where: str):
+    """``value`` as the field type ``hint`` asks: a number, an integer (not
+    a bool), null, a list, a fixed-length tuple, a nested dataclass or a
+    union of these.  Raises _Mismatch if its JSON type does not fit."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        for arm in args:
+            with contextlib.suppress(_Mismatch):
+                return _config_value(value, arm, where)
+    elif dataclasses.is_dataclass(hint):
+        return _read_config(hint, value, where)
+    elif origin in (list, tuple):
+        variadic = origin is list or args[-1] is Ellipsis
+        if isinstance(value, list) and (variadic or len(value) == len(args)):
+            items = [
+                _config_value(item, args[0 if variadic else i], f"{where} entry {i + 1}")
+                for i, item in enumerate(value)
+            ]
+            return items if origin is list else tuple(items)
+    elif hint is type(None):
+        if value is None:
+            return value
+    elif not isinstance(value, bool) and isinstance(value, int if hint is int else (int, float)):
+        return value
+    raise _Mismatch
 
 
-def _config_number(value, name: str, integer: bool = False):
-    """A config value that must be a JSON number (an integer if asked)."""
-    if not _is_number(value, integer):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
-    return value
+def _describe(hint, plural: bool = False) -> str:
+    """The JSON values the field type ``hint`` accepts, in words; a
+    fixed-length tuple is described by its first item type."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_describe(arm, plural) for arm in args)
+    if origin in (list, tuple):
+        count = "" if origin is list or args[-1] is Ellipsis else f"{len(args)} "
+        return f"{'lists' if plural else 'a list'} of {count}{_describe(args[0], plural=True)}"
+    nouns = {int: ("an integer", "integers"), float: ("a number", "numbers"), type(None): ("null", "nulls")}
+    return nouns.get(hint, ("an object", "objects"))[plural]  # else a nested dataclass
 
 
-def _check_hyper_config(raw: dict) -> None:
-    """Check the JSON types of a `fit` hyperparameter config: `a` and `b`
-    take a number or per-phase lists of numbers, `mu` and `sigma2` a number
-    or a list of numbers, `hyper_seed` an integer; the last three may be
-    null.  `HyperConfig` itself rejects unknown keys."""
-    if raw.get("hyper_seed") is not None:
-        _config_number(raw["hyper_seed"], "config 'hyper_seed'", integer=True)
-    for key, depth in (("a", 2), ("b", 2), ("mu", 1), ("sigma2", 1)):
-        if key not in raw or (key in ("mu", "sigma2") and raw[key] is None):
-            continue
-        value = raw[key]
-        if not (_is_number(value) or _nested_numbers(value, depth)):
-            lists = "per-phase lists of numbers" if depth == 2 else "a list of numbers"
-            raise ValueError(f"config '{key}' must be a number or {lists}, got {json.dumps(value)}")
-
-
-def _nested_numbers(value, depth: int) -> bool:
-    """Whether `value` is `depth` levels of JSON lists around numbers."""
-    if depth == 0:
-        return _is_number(value)
-    return isinstance(value, list) and all(_nested_numbers(v, depth - 1) for v in value)
-
-
-def _check_fields(raw: dict, cls, where: str) -> None:
-    """Check that each key of ``raw`` naming a field of the dataclass ``cls``
-    holds the JSON type its annotation asks for: a number, an integer, or a
-    list of either.  ``cls`` itself rejects unknown keys."""
-    for field in dataclasses.fields(cls):
-        if field.name not in raw:
-            continue
-        name, kind = f"{where} '{field.name}'", str(field.type)
-        integer = "int" in kind
-        if not kind.startswith("tuple"):
-            _config_number(raw[field.name], name, integer)
-        elif not isinstance(raw[field.name], list):
-            raise ValueError(f"{name} must be a list of {'integers' if integer else 'numbers'}")
-        else:
-            for value in raw[field.name]:
-                _config_number(value, f"{name} value", integer)
-
-
-def _scenario(raw: dict, seed: int):
-    """The scenario a config document describes, or the default one."""
+def _scenario(raw, seed: int):
+    """The scenario a config document describes, or the default one; the
+    document's `seed` defaults to --seed."""
     from . import simulator as simulator_mod
 
-    if not raw:
+    if raw == {}:
         return simulator_mod.default_scenario(seed)
-    _check_fields(raw, simulator_mod.ScenarioConfig, "scenario")
-    return simulator_mod.ScenarioConfig.from_dict({"seed": seed, **raw})
+    if isinstance(raw, dict):
+        raw = {"seed": seed, **raw}
+    return _read_config(simulator_mod.ScenarioConfig, raw, "scenario")
 
 
-def _parse_number_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers") from None
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of integers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects a comma-separated list of {noun}") from None
 
 
 def emit_report(report: dict, fmt: str, out_path: str | None, quiet: bool = False) -> None:
@@ -192,7 +205,7 @@ def _summaries_from_args(args) -> list[ingest_mod.PhaseSummary]:
         records = ingest_mod.parse_test_log(args.data)
         if not args.runs:
             raise ValueError("--runs is required unless --per-input is set")
-        runs = _parse_int_list(args.runs, "--runs")
+        runs = _parse_list(args.runs, "--runs", int)
     return ingest_mod.summarize_phases(records, runs)
 
 
@@ -216,8 +229,7 @@ def _cmd_fit(args) -> tuple[dict, dict]:
             "the model needs at least one defect in every phase"
         )
     raw_config = _load_config(args.config)
-    _check_hyper_config(raw_config)
-    hyper_config = model_mod.HyperConfig.from_dict(raw_config)
+    hyper_config = _read_config(model_mod.HyperConfig, raw_config, "config")
     hyper = model_mod.build_hyperparams(summaries, hyper_config, args.seed)
     sampler_config = sampler_mod.SamplerConfig(
         chains=args.chains,
@@ -285,7 +297,7 @@ def _dump_draws(posterior: PosteriorSummary, path: str) -> None:
 
 def _totals_from_args(args) -> list[float]:
     if args.totals:
-        return _parse_number_list(args.totals, "--totals")
+        return _parse_list(args.totals, "--totals")
     if args.from_report:
         report = json.loads(Path(args.from_report).read_text(encoding="utf-8"))
         totals: list[float] = []
@@ -301,12 +313,18 @@ def _totals_from_args(args) -> list[float]:
     raise ValueError("either --totals or --from-report is required")
 
 
+@dataclasses.dataclass(frozen=True)
+class _PredictConfig:
+    """The `predict --config` document: one ``[start, end]`` window per total."""
+
+    windows: list[tuple[float, float]] | None = None
+
+
 def _cmd_predict(args) -> tuple[dict, dict]:
     from . import predictor as predictor_mod
 
     totals = _totals_from_args(args)
-    raw_config = _load_config(args.config)
-    windows = raw_config.get("windows")
+    windows = _read_config(_PredictConfig, _load_config(args.config), "config").windows
     events = predictor_mod.events_from_totals(totals, windows)
     cv_samples = None
     if args.draws:
@@ -314,7 +332,7 @@ def _cmd_predict(args) -> tuple[dict, dict]:
     kde_config = predictor_mod.KdeConfig(
         bandwidth=args.bandwidth if args.bandwidth is not None else "auto",
         temporal_rate=args.temporal_rate,
-        cv_grid=tuple(_parse_number_list(args.cv_grid, "--cv-grid")) if args.cv_grid else None,
+        cv_grid=tuple(_parse_list(args.cv_grid, "--cv-grid")) if args.cv_grid else None,
         cv_samples=cv_samples,
     )
     prediction = predictor_mod.predict_next_total(events, kde_config)
@@ -371,44 +389,42 @@ def _cmd_decide(args) -> tuple[dict, dict]:
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class _PhaseQ:
+    q_detect: list[float]
+    q_none: float
+
+
+@dataclasses.dataclass(frozen=True)
+class _BaselineConfig:
+    """The `baseline --config` document, with one `q` entry per phase."""
+
+    n_total: int
+    p0: float
+    delta: float
+    q: list[_PhaseQ]
+
+
 def _cmd_baseline(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
 
     raw_config = _load_config(args.config)
-    for key in ("n_total", "p0", "delta"):
-        if key not in raw_config:
-            raise ValueError(f"baseline config must set '{key}'")
-    n_total = _config_number(raw_config["n_total"], "config 'n_total'", integer=True)
-    p0 = float(_config_number(raw_config["p0"], "config 'p0'"))
-    delta = float(_config_number(raw_config["delta"], "config 'delta'"))
+    config = _read_config(_BaselineConfig, raw_config, "config")
+    n_total, p0, delta = config.n_total, float(config.p0), float(config.delta)
 
     counts_by_phase = ingest_mod.parse_detections(args.detections)
-    q_config = raw_config.get("q")
-    if q_config is None:
-        raise ValueError("baseline config must set 'q' (per-phase detection probabilities)")
-    if not isinstance(q_config, list):
-        raise ValueError("config 'q' must be a list with one object per phase")
     phases = len(counts_by_phase)
-    if len(q_config) != phases:
-        raise ValueError(f"config 'q' lists {len(q_config)} entries for {phases} phases")
+    if len(config.q) != phases:
+        raise ValueError(f"config 'q' lists {len(config.q)} entries for {phases} phases")
     detections = []
     classes = sorted({cls for counts in counts_by_phase.values() for cls in counts})
-    for phase, q_entry in zip(counts_by_phase, q_config):
-        where = f"config 'q' entry for phase {phase}"
-        if not isinstance(q_entry, dict):
-            raise ValueError(f"{where} must be an object")
-        for key in ("q_detect", "q_none"):
-            if key not in q_entry:
-                raise ValueError(f"{where} must set '{key}'")
-        _check_fields(q_entry, baseline_mod.PhaseDetection, f"{where}:")
-        q_detect = tuple(float(x) for x in q_entry["q_detect"])
+    for phase, q_entry in zip(counts_by_phase, config.q):
+        q_detect = tuple(float(x) for x in q_entry.q_detect)
         if len(q_detect) != len(classes):
             raise ValueError(f"phase {phase}: expected {len(classes)} class probabilities")
         counts = tuple(counts_by_phase[phase].get(cls, 0) for cls in classes)
         detections.append(
-            baseline_mod.PhaseDetection(
-                counts=counts, q_detect=q_detect, q_none=float(q_entry["q_none"])
-            )
+            baseline_mod.PhaseDetection(counts=counts, q_detect=q_detect, q_none=float(q_entry.q_none))
         )
 
     state = baseline_mod.initial_state(n_total, p0)
@@ -433,13 +449,9 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
 
     raw_config = _load_config(args.scenario)
-    comparison_raw = raw_config.pop("comparison", {})
+    comparison_raw = raw_config.pop("comparison", {}) if isinstance(raw_config, dict) else {}
     scenario = _scenario(raw_config, args.seed)
-    _check_fields(comparison_raw, baseline_mod.ComparisonConfig, "comparison")
-    try:
-        comparison = baseline_mod.ComparisonConfig(**comparison_raw)
-    except TypeError as exc:
-        raise ValueError(f"bad comparison config: {exc}") from None
+    comparison = _read_config(baseline_mod.ComparisonConfig, comparison_raw, "comparison")
     report = baseline_mod.compare_models(scenario, args.trials, args.seed, comparison)
     effective = {
         "scenario_sha256": _file_sha256(args.scenario) if args.scenario else "default",
@@ -480,7 +492,6 @@ def build_parser() -> _Parser:
 
     def add_common(sub, report_out=True):
         sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-        sub.add_argument("--config", default=None, help="JSON config document")
         if report_out:
             sub.add_argument("--out", default=None, help="write the report here instead of stdout")
         sub.add_argument("--format", choices=("doc", "table"), default="doc")
@@ -507,6 +518,7 @@ def build_parser() -> _Parser:
     # since pure-Python chains on threads gain nothing under the GIL.
     fit_p.add_argument("--workers", type=int, default=1, help="ignored; chains run serially")
     fit_p.add_argument("--dump-draws", default=None, help="write retained draws as CSV")
+    fit_p.add_argument("--config", default=None, help="hyperparameter config JSON")
     add_common(fit_p)
     fit_p.set_defaults(handler=_cmd_fit)
 
@@ -518,6 +530,7 @@ def build_parser() -> _Parser:
     predict_p.add_argument("--cv-grid", default=None)
     predict_p.add_argument("--draws", default=None, help="draw dump used for bandwidth selection")
     predict_p.add_argument("--epsilon", type=float, default=None)
+    predict_p.add_argument("--config", default=None, help="event windows config JSON")
     add_common(predict_p)
     predict_p.set_defaults(handler=_cmd_predict)
 
@@ -530,6 +543,7 @@ def build_parser() -> _Parser:
 
     baseline_p = subparsers.add_parser("baseline", help="run the detection-count model")
     baseline_p.add_argument("--detections", required=True, help="CSV with phase,class,count")
+    baseline_p.add_argument("--config", default=None, help="detection-model config JSON")
     add_common(baseline_p)
     baseline_p.set_defaults(handler=_cmd_baseline)
 

@@ -209,18 +209,11 @@ def sample_n_trials(weights, rng: np.random.Generator) -> int:
 class HyperConfig:
     """Raw hyperparameter configuration as read from a config document."""
 
-    a: float | list = 1.0
-    b: float | list = 1.0
+    a: float | list[list[float]] = 1.0
+    b: float | list[list[float]] = 1.0
     hyper_seed: int | None = None
-    mu: float | list | None = None
-    sigma2: float | list | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "HyperConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown hyperparameter config keys: {sorted(unknown)}")
-        return cls(**raw)
+    mu: float | list[float] | None = None
+    sigma2: float | list[float] | None = None
 
 
 def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hyperparams:
@@ -232,6 +225,9 @@ def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hy
     """
     m = len(data)
     if config.mu is not None and config.sigma2 is not None:
+        for name, value in (("mu", config.mu), ("sigma2", config.sigma2)):
+            if isinstance(value, list) and len(value) != m:
+                raise ValueError(f"config '{name}' lists {len(value)} values for {m} phases")
         mu = np.broadcast_to(np.asarray(config.mu, dtype=float), (m,))
         sigma2 = np.broadcast_to(np.asarray(config.sigma2, dtype=float), (m,))
         pairs = [solve_beta_hyper(u, s) for u, s in zip(mu, sigma2)]

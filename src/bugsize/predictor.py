@@ -93,7 +93,7 @@ def events_from_totals(totals, windows=None) -> list[PhaseEvent]:
     if windows is None:
         windows = [(j - 1.0, float(j)) for j in range(1, len(totals) + 1)]
     if len(windows) != len(totals):
-        raise ValueError("need one window per total")
+        raise ValueError(f"need one window per total: {len(windows)} windows for {len(totals)} totals")
     return [
         PhaseEvent(phase=j, total_size=x, window_start=float(v), window_end=float(e))
         for j, (x, (v, e)) in enumerate(zip(totals, windows), start=1)

@@ -9,7 +9,7 @@ model-comparison tests.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,17 +68,6 @@ class ScenarioConfig:
             raise ValueError("p_true needs one entry in (0, 1) per phase")
         if self.exposure_offset < 0:
             raise ValueError("exposure_offset must be non-negative")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
-        if missing:
-            raise ValueError(f"missing scenario config keys: {missing}")
-        # JSON lists become the tuples the fields hold
-        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,14 @@ class TestUsage:
         assert code == 1
         assert "--data" in err
 
+    def test_decide_takes_no_config(self, capsys):
+        # only fit, predict and baseline read a --config document
+        code, out, err = run_cli(
+            capsys, "decide", "--totals", "3,2,1", "--epsilon", "1", "--config", "x.json"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: --config x.json\nusage: bugsize")
+
 
 @pytest.fixture
 def sample_log(tmp_path):
@@ -238,17 +246,20 @@ class TestFitConfig:
         # the proposal rate is max(observed size, 1); no config sets it
         code, out, err = self.fit(capsys, sample_log, tmp_path, {key: 12})
         assert (code, out) == (1, "")
-        assert err == f"error: unknown hyperparameter config keys: ['{key}']\n"
+        assert err == f"error: config has unknown keys: ['{key}']\n"
 
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"a": {"x": 1}}, "'a' must be a number or per-phase lists of numbers, got {\"x\": 1}"),
+            ({"a": {"x": 1}}, "'a' must be a number or a list of lists of numbers, got {\"x\": 1}"),
             (
                 {"b": [[1, "y"], [1], [1]]},
-                "'b' must be a number or per-phase lists of numbers, got [[1, \"y\"], [1], [1]]",
+                "'b' must be a number or a list of lists of numbers, got [[1, \"y\"], [1], [1]]",
             ),
-            ({"mu": "x", "sigma2": 0.1}, "'mu' must be a number or a list of numbers, got \"x\""),
+            (
+                {"mu": "x", "sigma2": 0.1},
+                "'mu' must be a number or a list of numbers or null, got \"x\"",
+            ),
         ],
         ids=["a-object", "b-string-in-row", "mu-string"],
     )
@@ -256,10 +267,16 @@ class TestFitConfig:
         code, out, err = self.fit(capsys, sample_log, tmp_path, config)
         assert (code, out, err) == (1, "", f"error: config {message}\n")
 
+    @pytest.mark.parametrize("key", ["mu", "sigma2"])
+    def test_moment_list_of_wrong_length_exits_1(self, capsys, sample_log, tmp_path, key):
+        config = {"mu": 0.5, "sigma2": 0.01, key: [0.5, 0.4, 0.3]}
+        code, out, err = self.fit(capsys, sample_log, tmp_path, config)
+        assert (code, out, err) == (1, "", f"error: config '{key}' lists 3 values for 2 phases\n")
+
     def test_hyper_seed_of_wrong_type_exits_1(self, capsys, sample_log, tmp_path):
         code, out, err = self.fit(capsys, sample_log, tmp_path, {"hyper_seed": "x"})
         assert (code, out) == (1, "")
-        assert err == 'error: config \'hyper_seed\' must be an integer, got "x"\n'
+        assert err == 'error: config \'hyper_seed\' must be an integer or null, got "x"\n'
 
 
 class TestSimulateRoundTrip:
@@ -428,7 +445,7 @@ class TestDetectionTable:
         "q, message",
         [
             ({"q_detect": [0.5], "q_none": 0.5}, "config 'q' must be a list"),
-            ([Q, [0.5, 0.5]], "config 'q' entry for phase 2 must be an object"),
+            ([Q, [0.5, 0.5]], "config 'q' entry 2 must be an object, got [0.5, 0.5]"),
         ],
         ids=["object", "list-entry"],
     )
@@ -449,17 +466,17 @@ class TestDetectionTable:
             ({"delta": [0.3]}, "config 'delta' must be a number, got [0.3]"),
             (
                 {"q": [{"q_detect": 0.5, "q_none": 0.5}]},
-                "config 'q' entry for phase 1: 'q_detect' must be a list of numbers",
+                "config 'q' entry 1 'q_detect' must be a list of numbers, got 0.5",
             ),
             (
                 {"q": [{"q_detect": ["0.5"], "q_none": 0.5}]},
-                "config 'q' entry for phase 1: 'q_detect' value must be a number, got \"0.5\"",
+                "config 'q' entry 1 'q_detect' must be a list of numbers, got [\"0.5\"]",
             ),
             (
                 {"q": [{"q_detect": [0.5], "q_none": [0.5]}]},
-                "config 'q' entry for phase 1: 'q_none' must be a number, got [0.5]",
+                "config 'q' entry 1 'q_none' must be a number, got [0.5]",
             ),
-            ({"q": [{"q_detect": [0.5]}]}, "config 'q' entry for phase 1 must set 'q_none'"),
+            ({"q": [{"q_detect": [0.5]}]}, "config 'q' entry 1 is missing keys: ['q_none']"),
         ],
         ids=[
             "n_total-list", "n_total-fraction", "n_total-bool", "p0-list", "p0-string",
@@ -504,9 +521,12 @@ class TestScenarioValueTypes:
         "change, message",
         [
             ({"phases": "2"}, 'scenario \'phases\' must be an integer, got "2"'),
-            ({"bugs_per_phase": 3}, "scenario 'bugs_per_phase' must be a list of integers"),
-            ({"n_trials_range": [6]}, "n_trials_range must list two values, low and high"),
-            ({"t_range": [0.3, 0.5, 0.8]}, "t_range must list two values, low and high"),
+            ({"bugs_per_phase": 3}, "scenario 'bugs_per_phase' must be a list of integers, got 3"),
+            ({"n_trials_range": [6]}, "scenario 'n_trials_range' must be a list of 2 integers, got [6]"),
+            (
+                {"t_range": [0.3, 0.5, 0.8]},
+                "scenario 't_range' must be a list of 2 numbers, got [0.3, 0.5, 0.8]",
+            ),
         ],
         ids=["phases-string", "bugs_per_phase-number", "n_trials_range-short", "t_range-long"],
     )
@@ -518,7 +538,7 @@ class TestScenarioValueTypes:
     def test_missing_keys(self, capsys, tmp_path, command):
         # no merging with the default scenario: a document names every key
         message = (
-            "missing scenario config keys: "
+            "scenario is missing keys: "
             "['bugs_per_phase', 'n_trials_range', 't_range', 'p_true']"
         )
         self.check(capsys, tmp_path, [command], {"phases": 2}, message)
@@ -534,6 +554,97 @@ class TestScenarioValueTypes:
     def test_comparison(self, capsys, tmp_path, change, message):
         argv = ["compare", "--trials", "1"]
         self.check(capsys, tmp_path, argv, {"comparison": change}, message)
+
+
+class TestConfigDocuments:
+    """Every config document is read the same way: one that is not an
+    object, an unknown key or a value of the wrong JSON type exits 1 with
+    a message naming the key, instead of a traceback or a silent default."""
+
+    @pytest.fixture
+    def argv(self, sample_log, tmp_path):
+        detections = tmp_path / "detections.csv"
+        detections.write_text("phase,class,count\n1,1,5\n")
+        data = ["--data", str(sample_log), "--runs", "40,90", "--iterations", "20", "--burn-in", "5"]
+        return {
+            "fit": ["fit", *data, "--config"],
+            "predict": ["predict", "--totals", "10,4", "--bandwidth", "0.1", "--config"],
+            "baseline": ["baseline", "--detections", str(detections), "--config"],
+            "scenario": ["simulate", "--scenario"],
+            "comparison": ["compare", "--trials", "1", "--scenario"],
+        }
+
+    BASELINE = {"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [TestDetectionTable.Q]}
+
+    @pytest.mark.parametrize(
+        "kind, document, message",
+        [
+            ("fit", [1.0], "config must be an object, got [1.0]"),
+            ("fit", {"c": 1.0}, "config has unknown keys: ['c']"),
+            ("fit", {"hyper_seed": 1.5}, "config 'hyper_seed' must be an integer or null, got 1.5"),
+            ("predict", [[0, 1], [1, 2]], "config must be an object, got [[0, 1], [1, 2]]"),
+            ("predict", {"window": [[0, 1], [1, 2]]}, "config has unknown keys: ['window']"),
+            (
+                "predict",
+                {"windows": 5},
+                "config 'windows' must be a list of lists of 2 numbers or null, got 5",
+            ),
+            (
+                "predict",
+                {"windows": [[0, 1], [1, 2], [2]]},
+                "config 'windows' must be a list of lists of 2 numbers or null, "
+                "got [[0, 1], [1, 2], [2]]",
+            ),
+            (
+                "predict",
+                {"windows": [["a", 3], [3, 4]]},
+                "config 'windows' must be a list of lists of 2 numbers or null, "
+                "got [[\"a\", 3], [3, 4]]",
+            ),
+            ("baseline", "x", 'config must be an object, got "x"'),
+            ("baseline", {**BASELINE, "n": 10}, "config has unknown keys: ['n']"),
+            ("baseline", {**BASELINE, "delta": None}, "config 'delta' must be a number, got null"),
+            (
+                "baseline",
+                {**BASELINE, "q": [{**TestDetectionTable.Q, "q_nnone": 0.5}]},
+                "config 'q' entry 1 has unknown keys: ['q_nnone']",
+            ),
+            ("scenario", None, "scenario must be an object, got null"),
+            ("scenario", {**SCENARIO, "bogus": 2}, "scenario has unknown keys: ['bogus']"),
+            (
+                "scenario",
+                {**SCENARIO, "p_true": [0.7, None]},
+                "scenario 'p_true' must be a list of numbers, got [0.7, null]",
+            ),
+            ("comparison", {"comparison": 5}, "comparison must be an object, got 5"),
+            ("comparison", {"comparison": {"bogus": 1}}, "comparison has unknown keys: ['bogus']"),
+            (
+                "comparison",
+                {"comparison": {"chains": True}},
+                "comparison 'chains' must be an integer, got true",
+            ),
+        ],
+        ids=[
+            "fit-list", "fit-unknown", "fit-hyper_seed-fraction",
+            "predict-list", "predict-window-typo", "predict-windows-number",
+            "predict-windows-short-pair", "predict-windows-string",
+            "baseline-string", "baseline-unknown", "baseline-delta-null", "baseline-q-unknown",
+            "scenario-null", "scenario-unknown", "scenario-p_true-null",
+            "comparison-number", "comparison-unknown", "comparison-chains-bool",
+        ],
+    )
+    def test_bad_document_exits_1(self, capsys, tmp_path, argv, kind, document, message):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv[kind], str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_window_count_named(self, capsys, argv, tmp_path):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps({"windows": [[0, 1], [1, 2], [2, 3]]}))
+        code, out, err = run_cli(capsys, *argv["predict"], str(path))
+        message = "error: need one window per total: 3 windows for 2 totals\n"
+        assert (code, out, err) == (1, "", message)
 
 
 class TestReportEnvelope:

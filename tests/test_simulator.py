@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -156,15 +155,10 @@ def test_scenario_config_validation():
         small_scenario(p_true=(1.5, 0.5))
     with pytest.raises(ValueError, match="bugs_per_phase"):
         small_scenario(bugs_per_phase=(3,))
-    with pytest.raises(ValueError, match="unknown scenario"):
-        ScenarioConfig.from_dict({"phases": 1, "bogus": 2})
     with pytest.raises(ValueError, match="n_trials_range must list two values"):
         small_scenario(n_trials_range=(6,))
     with pytest.raises(ValueError, match="t_range must list two values"):
         small_scenario(t_range=(0.3, 0.5, 0.8))
-    missing = "missing scenario config keys: ['n_trials_range', 't_range', 'p_true', 'seed']"
-    with pytest.raises(ValueError, match=re.escape(missing)):
-        ScenarioConfig.from_dict({"phases": 2, "bugs_per_phase": [3, 3]})
 
 
 def test_oracle_hyperparams_pin_logged_bugs():
