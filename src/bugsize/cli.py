@@ -15,15 +15,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import types
 import typing
 from pathlib import Path
 
 # Only ingest is imported here; every handler imports the modules it runs,
-# so ingest and decide never load numpy.  Handlers call through the module
-# (sampler_mod.run_chain) so that a tracer patching the module attribute
-# sees the call.
+# so ingest, decide and predict without --draws never load numpy.  Handlers
+# call through the module (sampler_mod.run_chain) so that a tracer patching
+# the module attribute sees the call.
 from . import ingest as ingest_mod
 
 if typing.TYPE_CHECKING:
@@ -100,9 +101,10 @@ def _read_config(cls, raw, where: str):
 
 
 def _config_value(value, hint, where: str):
-    """``value`` as the field type ``hint`` asks: a number, an integer (not
-    a bool), null, a list, a fixed-length tuple, a nested dataclass or a
-    union of these.  Raises _Mismatch if its JSON type does not fit."""
+    """``value`` as the field type ``hint`` asks: a number (finite: NaN and
+    Infinity are not JSON), an integer (not a bool), null, a list, a
+    fixed-length tuple, a nested dataclass or a union of these.  Raises
+    _Mismatch if its JSON type does not fit."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         for arm in args:
@@ -122,7 +124,8 @@ def _config_value(value, hint, where: str):
         if value is None:
             return value
     elif not isinstance(value, bool) and isinstance(value, int if hint is int else (int, float)):
-        return value
+        if not isinstance(value, float) or math.isfinite(value):
+            return value
     raise _Mismatch
 
 
@@ -153,10 +156,32 @@ def _scenario(raw, seed: int):
 
 def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [kind(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise ValueError(f"{flag} expects a comma-separated list of {noun}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} must list finite numbers, got {text}")
+    return values
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; ``what`` names it if it is not finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value}")
+    return number
+
+
+def _seed(text: str) -> int:
+    """The --seed type: numpy's seeding accepts no negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def emit_report(report: dict, fmt: str, out_path: str | None, quiet: bool = False) -> None:
@@ -299,16 +324,17 @@ def _totals_from_args(args) -> list[float]:
     if args.totals:
         return _parse_list(args.totals, "--totals")
     if args.from_report:
-        report = json.loads(Path(args.from_report).read_text(encoding="utf-8"))
+        path = args.from_report
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
         totals: list[float] = []
         if "per_phase" in report:
-            totals = [float(row["F_mean"]) for row in report["per_phase"]]
+            totals = [_finite(row["F_mean"], f"{path} 'F_mean'") for row in report["per_phase"]]
         elif "totals" in report:
-            totals = [float(x) for x in report["totals"]]
+            totals = [_finite(x, f"{path} 'totals' entry") for x in report["totals"]]
         if "predicted_next_total" in report:
-            totals.append(float(report["predicted_next_total"]))
+            totals.append(_finite(report["predicted_next_total"], f"{path} 'predicted_next_total'"))
         if not totals:
-            raise ValueError(f"{args.from_report} holds no per-phase totals")
+            raise ValueError(f"{path} holds no per-phase totals")
         return totals
     raise ValueError("either --totals or --from-report is required")
 
@@ -367,6 +393,8 @@ def _draws_from_dump(path: str) -> list[float]:
         values = [float(row["F"]) for row in reader]
     if not values:
         raise ValueError(f"{path} holds no draws")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path} 'F' must hold finite numbers")
     return values
 
 
@@ -491,7 +519,7 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub, report_out=True):
-        sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+        sub.add_argument("--seed", type=_seed, default=0, help="root seed for all randomness")
         if report_out:
             sub.add_argument("--out", default=None, help="write the report here instead of stdout")
         sub.add_argument("--format", choices=("doc", "table"), default="doc")

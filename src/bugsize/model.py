@@ -215,6 +215,10 @@ class HyperConfig:
     mu: float | list[float] | None = None
     sigma2: float | list[float] | None = None
 
+    def __post_init__(self) -> None:
+        if self.hyper_seed is not None and self.hyper_seed < 0:
+            raise ValueError(f"config 'hyper_seed' must be a non-negative integer, got {self.hyper_seed}")
+
 
 def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hyperparams:
     """Assemble hyperparameters for a dataset from a config document.

@@ -68,6 +68,8 @@ class ScenarioConfig:
             raise ValueError("p_true needs one entry in (0, 1) per phase")
         if self.exposure_offset < 0:
             raise ValueError("exposure_offset must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"scenario 'seed' must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

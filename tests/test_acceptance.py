@@ -198,7 +198,7 @@ def test_criterion_5_kde_correctness():
             for i, (v, w) in enumerate(zip(starts, widths))
         ]
         t = max(e.window_end for e in events) + float(rng.uniform(0.0, 5.0))
-        weights = temporal_weights(t, events, float(rng.uniform(0.2, 3.0)))
+        weights = np.asarray(temporal_weights(t, events, float(rng.uniform(0.2, 3.0))))
         worst_weight_gap = max(worst_weight_gap, abs(float(weights.sum()) - 1.0))
         assert np.all(weights >= 0)
     ok_weights = worst_weight_gap <= 1e-12

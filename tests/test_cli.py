@@ -691,6 +691,143 @@ class TestPredictFromTotals:
         assert report["h_selected"] == 0.1
         assert 3.8 < report["predicted_next_total"] < 4.0
 
+    # Reports computed with numpy arrays throughout; the standard-library
+    # predictor must repeat them to the last bit.  Ten totals take the
+    # numpy path of every sum of eight or more terms.
+    @pytest.mark.parametrize(
+        "totals, expected",
+        [
+            (
+                "34007,36157,57738,11409",
+                {
+                    "predicted_next_total": 5837.531719586285,
+                    "predicted_median": 5903.236711442694,
+                    "predicted_mode": 11403.42919921875,
+                    "h_selected": 30424.294477522537,
+                    "weights": [
+                        0.032058603280084995,
+                        0.08714431874203257,
+                        0.23688281808991016,
+                        0.6439142598879724,
+                    ],
+                    "truncated_mass": 0.15106445879659353,
+                },
+            ),
+            (
+                "34007,36157,57738,11409,9000,8000,7000,6000,5000,4000",
+                {
+                    "predicted_next_total": 2312.9166603579097,
+                    "predicted_median": 2440.860482517698,
+                    "predicted_mode": 3998.046875,
+                    "h_selected": 3062.443384130371,
+                    "weights": [
+                        7.801341612780744e-05,
+                        0.00021206245143623275,
+                        0.0005764455082375902,
+                        0.0015669413501390804,
+                        0.004259388198344144,
+                        0.0115782175399118,
+                        0.03147285834468804,
+                        0.08555209892803112,
+                        0.23255471590259755,
+                        0.6321492583604866,
+                    ],
+                    "truncated_mass": 0.3849173390680804,
+                },
+            ),
+        ],
+        ids=["table", "ten-phases"],
+    )
+    def test_report_pinned(self, capsys, totals, expected):
+        code, out, _ = run_cli(capsys, "predict", "--totals", totals, "--epsilon", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert {key: report[key] for key in expected} == expected
+        assert report["decision"] == {"action": "continue", "stop_after_phase": None}
+
+
+class TestNonFinite:
+    """NaN and infinity exit 1 naming the flag or field, instead of
+    reaching a report as `NaN` or `Infinity`, which are not JSON."""
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (["predict", "--totals", "nan,3"], {}, "--totals must list finite numbers, got nan,3"),
+            (["predict", "--totals", "3,inf"], {}, "--totals must list finite numbers, got 3,inf"),
+            (["decide", "--totals", "3,-inf", "--epsilon", "1"], {},
+             "--totals must list finite numbers, got 3,-inf"),
+            (["predict", "--totals", "3,2", "--bandwidth", "nan"], {}, "bandwidth must be finite, got nan"),
+            (["predict", "--totals", "3,2", "--cv-grid", "nan,1"], {},
+             "--cv-grid must list finite numbers, got nan,1"),
+            (["predict", "--totals", "3,2", "--temporal-rate", "nan"], {},
+             "temporal_rate must be finite, got nan"),
+            (["predict", "--totals", "3,2", "--epsilon", "inf"], {}, "epsilon must be finite, got inf"),
+            (["decide", "--totals", "3,2", "--epsilon", "nan"], {}, "epsilon must be finite, got nan"),
+            (["predict", "--from-report", "{fit}"], {"fit": '{"per_phase": [{"F_mean": NaN}]}'},
+             "{fit} 'F_mean' must be a finite number, got nan"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"],
+             {"fit": '{"totals": [3, 2], "predicted_next_total": Infinity}'},
+             "{fit} 'predicted_next_total' must be a finite number, got inf"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"], {"fit": '{"totals": [3, -Infinity]}'},
+             "{fit} 'totals' entry must be a finite number, got -inf"),
+            (["predict", "--totals", "3,2", "--draws", "{draws}"],
+             {"draws": "iteration,chain,phase,F\n1,0,1,3\n1,0,2,nan\n"},
+             "{draws} 'F' must hold finite numbers"),
+            (["predict", "--totals", "3,2", "--config", "{windows}"],
+             {"windows": '{"windows": [[0, 1], [1, Infinity]]}'},
+             "config 'windows' must be a list of lists of 2 numbers or null, got [[0, 1], [1, Infinity]]"),
+            (["fit", "--data", "{log}", "--runs", "40,90", "--config", "{hyper}"],
+             {"log": "cycle,defect_header,defect_id,size\n1,2,3,1\n2,13,31,2\n", "hyper": '{"a": NaN}'},
+             "config 'a' must be a number or a list of lists of numbers, got NaN"),
+        ],
+        ids=[
+            "totals-nan", "totals-inf", "decide-totals-inf", "bandwidth-nan", "cv-grid-nan",
+            "temporal-rate-nan", "predict-epsilon-inf", "decide-epsilon-nan", "report-F_mean",
+            "report-predicted", "report-totals", "draws-F", "config-window", "fit-config",
+        ],
+    )
+    def test_exits_1(self, capsys, tmp_path, argv, files, message):
+        paths = {name: str(tmp_path / name) for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_text(text)
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
+
+
+class TestNegativeSeed:
+    """numpy seeds only from non-negative integers; a negative seed exits 1
+    naming the flag or key, not with numpy's own message."""
+
+    @pytest.mark.parametrize(
+        "command", ["ingest", "fit", "predict", "decide", "baseline", "compare", "simulate"]
+    )
+    def test_flag_rejected_at_parsing(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: argument --seed: must be a non-negative integer, got '-1'\nusage: bugsize"
+        )
+
+    def test_hyper_seed(self, capsys, sample_log, tmp_path):
+        config = tmp_path / "hyper.json"
+        config.write_text('{"hyper_seed": -3}')
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(sample_log), "--runs", "40,90", "--config", str(config)
+        )
+        assert (code, out, err) == (
+            1, "", "error: config 'hyper_seed' must be a non-negative integer, got -3\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_scenario_seed(self, capsys, tmp_path, command):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, "seed": -4}))
+        code, out, err = run_cli(capsys, command, "--scenario", str(scenario))
+        assert (code, out, err) == (
+            1, "", "error: scenario 'seed' must be a non-negative integer, got -4\n"
+        )
+
 
 class TestExitCodes:
     def test_unwritable_out_path_is_runtime_error(self, capsys, tmp_path):
@@ -780,17 +917,22 @@ class TestImportHygiene:
         assert _modules_loaded(RUN_CLI, *argv) == (True, False)
 
     def test_fit_and_predict_skip_scipy(self, sample_log, tmp_path):
-        report = tmp_path / "fit.json"
+        report, draws = tmp_path / "fit.json", tmp_path / "draws.csv"
         fit = [
             "fit", "--data", str(sample_log), "--runs", "40,90", "--iterations", "60",
-            "--burn-in", "10", "--chains", "1", "--out", str(report), "--quiet",
+            "--burn-in", "10", "--chains", "1", "--dump-draws", str(draws),
+            "--out", str(report), "--quiet",
         ]
         assert _modules_loaded(RUN_CLI, *fit) == (True, False)
         predict = [
-            "predict", "--from-report", str(report), "--bandwidth", "2.0", "--epsilon", "1",
+            "predict", "--from-report", str(report), "--epsilon", "1",
             "--out", str(tmp_path / "predict.json"), "--quiet",
         ]
-        assert _modules_loaded(RUN_CLI, *predict) == (True, False)
+        # a prediction from a handful of totals runs on the standard library
+        assert _modules_loaded(RUN_CLI, *predict) == (False, False)
+        assert _modules_loaded(RUN_CLI, *predict, "--bandwidth", "2.0") == (False, False)
+        # cross-validation over the posterior draws uses numpy
+        assert _modules_loaded(RUN_CLI, *predict, "--draws", str(draws)) == (True, False)
 
     def test_every_export_resolves(self):
         for name in bugsize.__all__:

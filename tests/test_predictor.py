@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bugsize import predictor
 from bugsize.predictor import (
     CV_BLOCK_ROWS,
+    GRID_FACTORS,
+    NUMPY_MIN_TERMS,
     KdeConfig,
     PhaseEvent,
     cv_score,
@@ -25,7 +28,7 @@ TABLE_TOTALS = [34007.0, 36157.0, 57738.0, 11409.0]
 class TestTemporalWeights:
     def test_single_event(self):
         events = events_from_totals([12.0])
-        assert temporal_weights(5.0, events, 1.0).tolist() == [1.0]
+        assert np.asarray(temporal_weights(5.0, events, 1.0)).tolist() == [1.0]
 
     def test_identical_windows_symmetric(self):
         events = [
@@ -49,7 +52,7 @@ class TestTemporalWeights:
 
     def test_distant_history_does_not_underflow(self):
         events = events_from_totals([3.0, 4.0])
-        w = temporal_weights(2000.0, events, 1.0)
+        w = np.asarray(temporal_weights(2000.0, events, 1.0))
         assert np.isfinite(w).all()
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -65,7 +68,7 @@ class TestTemporalWeights:
             PhaseEvent(i + 1, 1.0, v, v + w) for i, (v, w) in enumerate(zip(starts, widths))
         ]
         t = max(e.window_end for e in events) + slack
-        weights = temporal_weights(t, events, rate)
+        weights = np.asarray(temporal_weights(t, events, rate))
         assert np.all(weights >= 0)
         assert abs(weights.sum() - 1.0) <= 1e-12
 
@@ -156,6 +159,27 @@ class TestBandwidthSelection:
         with pytest.raises(ValueError, match="2 samples"):
             select_bandwidth([1.0], [0.5, 1.0])
 
+    def test_pair_sum_paths_agree(self):
+        # the Python pair sums serve fewer than NUMPY_MIN_TERMS distinct
+        # values, numpy's the rest; on one sample both must agree
+        x = np.floor(np.random.default_rng(3).gamma(4.0, 5.0, size=300)).tolist()
+        assert len(set(x)) >= NUMPY_MIN_TERMS
+        for h in (0.5, 2.0, 10.0, 80.0):
+            python = predictor._pair_sums(x, h)
+            blocked = predictor._pair_sums_numpy(x, h)
+            assert python == pytest.approx(blocked, rel=1e-12, abs=0.0)
+
+    def test_default_grid_factors(self):
+        assert GRID_FACTORS == tuple(np.geomspace(0.25, 4.0, 13).tolist())
+
+    def test_sum_matches_numpy(self):
+        # numpy's reduction order, which the reports were computed with
+        rng = np.random.default_rng(11)
+        for n in range(1, 2 * NUMPY_MIN_TERMS):
+            for _ in range(200):
+                v = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)).tolist()
+                assert predictor._sum(v) == float(np.sum(v))
+
     def test_tie_breaks_to_smaller(self):
         # a constant score function cannot arise, but equal scores on a
         # duplicated candidate must return that candidate once
@@ -204,6 +228,33 @@ class TestPredictNextTotal:
         prediction = predict_next_total(events, KdeConfig(bandwidth=h))
         if prediction.truncated_mass > 0:
             assert prediction.mean < totals[-1]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"bandwidth": math.inf}, "bandwidth must be finite"),
+            ({"temporal_rate": math.nan}, "temporal_rate must be finite"),
+            ({"cv_grid": (1.0, math.nan)}, "cv_grid must hold finite numbers"),
+            ({"cv_samples": (1.0, math.inf)}, "cv_samples must hold finite numbers"),
+        ],
+    )
+    def test_kde_config(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            KdeConfig(**kwargs)
+
+    def test_phase_event(self):
+        with pytest.raises(ValueError, match="total size must be finite"):
+            PhaseEvent(1, math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite bounds"):
+            PhaseEvent(1, 3.0, -math.inf, 1.0)
+
+    def test_decide_stop(self):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            decide_stop([1.0], math.nan)
+        with pytest.raises(ValueError, match="totals must be finite"):
+            decide_stop([math.inf, 1.0], 1.0)
 
 
 class TestDecideStop:
