@@ -262,7 +262,6 @@ def _cmd_fit(args) -> tuple[dict, dict]:
         burn_in=args.burn_in,
         thin=args.thin,
         seed=args.seed,
-        epsilon_floor=args.epsilon_floor,
     )
     posterior = sampler_mod.run_chain(summaries, hyper, sampler_config)
 
@@ -276,7 +275,6 @@ def _cmd_fit(args) -> tuple[dict, dict]:
         "iterations": args.iterations,
         "burn_in": args.burn_in,
         "thin": args.thin,
-        "epsilon_floor": args.epsilon_floor,
     }
     low, high = posterior.F_ci
     per_phase = []
@@ -541,7 +539,6 @@ def build_parser() -> _Parser:
     fit_p.add_argument("--iterations", type=int, default=2000)
     fit_p.add_argument("--burn-in", type=int, default=500)
     fit_p.add_argument("--thin", type=int, default=1)
-    fit_p.add_argument("--epsilon-floor", type=float, default=1e-12)
     # Accepted for compatibility and ignored: chains run one after another,
     # since pure-Python chains on threads gain nothing under the GIL.
     fit_p.add_argument("--workers", type=int, default=1, help="ignored; chains run serially")

@@ -8,7 +8,7 @@ three follow the same rules. The source is a path, bytes, or an open
 text/byte stream, and bytes are read as UTF-8 with an optional byte-order
 mark. The first non-blank row is the header, whose names are
 trimmed and case-insensitive. The delimiter is a tab if the first
-non-blank line holds one, else a comma, unless one is given. Blank rows
+non-blank line holds one, else a comma. Blank rows
 are skipped, and errors name the physical line and the column.
 """
 
@@ -122,15 +122,13 @@ def _csv_errors(reader):
 
 
 def _table(
-    lines: list[str], required: tuple[str, ...], optional: tuple[str, ...], delimiter: str | None
+    lines: list[str], required: tuple[str, ...], optional: tuple[str, ...]
 ) -> tuple[Iterator[list[str]], list[int]]:
     """Read a table's header by the rules above.  Returns the csv reader,
     positioned after the header, and each of the `required`, then the
     `optional`, columns' index in a row (-1 where the table has none)."""
-    if delimiter is None:
-        first = next((line for line in lines if line.strip()), "")
-        delimiter = "\t" if "\t" in first else ","
-    reader = csv.reader(lines, delimiter=delimiter)
+    first = next((line for line in lines if line.strip()), "")
+    reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
     with _csv_errors(reader):
         for row in reader:
             if _blank(row):
@@ -155,14 +153,11 @@ def _cells(row, index: list[int]) -> list[str]:
 
 
 def _rows(
-    lines: list[str],
-    required: tuple[str, ...],
-    optional: tuple[str, ...] = (),
-    delimiter: str | None = None,
+    lines: list[str], required: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line, cells)` for each non-blank data row of a table, with
     `cells` as `_cells` gives them."""
-    reader, index = _table(lines, required, optional, delimiter)
+    reader, index = _table(lines, required, optional)
     with _csv_errors(reader):
         for row in reader:
             if not _blank(row):
@@ -191,11 +186,11 @@ def _record(line_no: int, cycle: int, defect_id: int, size: int, extra: list[str
     return TestLogRecord(cycle, header, defect_id, size, severity or None)
 
 
-def parse_test_log(source, delimiter: str | None = None) -> list[TestLogRecord]:
+def parse_test_log(source) -> list[TestLogRecord]:
     """Parse a summary-style log (one row per logged defect per cycle).
     A header-only input yields an empty list."""
     records = []
-    for line_no, cells in _rows(_lines(source), REQUIRED_COLUMNS, OPTIONAL_COLUMNS, delimiter):
+    for line_no, cells in _rows(_lines(source), REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
         cycle = _cycle(cells[0], line_no)
         size = _int_cell(cells[2], "size", line_no)
         if size < 0:
@@ -215,7 +210,7 @@ def _input_row(line_no: int, cells: list[str], count: int) -> tuple[int, TestLog
     return cycle, _record(line_no, cycle, defect_id, count, cells[2:])
 
 
-def parse_input_log(source, delimiter: str | None = None) -> tuple[list[TestLogRecord], list[int]]:
+def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     """Parse a raw per-input log (one row per executed test input).
 
     Rows with a non-empty `defect_id` each contribute one unit of
@@ -230,7 +225,7 @@ def parse_input_log(source, delimiter: str | None = None) -> tuple[list[TestLogR
     that holds it.
     """
     lines = _lines(source)
-    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS, delimiter)
+    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
     records = []
     run_counts: dict[int, int] = {}
     try:
@@ -250,7 +245,7 @@ def parse_input_log(source, delimiter: str | None = None) -> tuple[list[TestLogR
     # The counted pass cannot tell which line a bad row is on.  The same
     # checks made row by row raise the error of the first bad physical
     # line, or the csv error if no bad row comes before it.
-    for line_no, cells in _rows(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS, delimiter):
+    for line_no, cells in _rows(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS):
         _input_row(line_no, cells, 1)
     raise error
 

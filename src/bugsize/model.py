@@ -149,17 +149,19 @@ def solve_beta_hyper(mu: float, sigma2: float) -> tuple[float, float]:
 class Hyperparams:
     """Phase-level Beta parameters plus bug-level prior settings.
 
-    ``a`` and ``b`` may be scalars (broadcast over bugs) or per-phase lists
-    of arrays; ``resolve_for_data`` produces the fully expanded form.
-    ``m_weights[j][i]`` lists the candidate trial counts for bug i of phase
-    j; a candidate is drawn with probability proportional to its own value.
+    ``a`` and ``b`` may be scalars (broadcast over bugs) or one row of
+    per-bug values per phase.  ``m_weights[j][i]`` lists the candidate trial
+    counts for bug i of phase j; a candidate is drawn with probability
+    proportional to its own value.  ``resolve_for_data`` produces the
+    expanded form, in which ``a``, ``b`` and ``m_weights`` are nested lists
+    of Python numbers.
     """
 
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
-    a: float | list[np.ndarray] = 1.0
-    b: float | list[np.ndarray] = 1.0
-    m_weights: list[list[np.ndarray]] | None = None
+    a: float | list[list[float]] = 1.0
+    b: float | list[list[float]] = 1.0
+    m_weights: list[list[list[int]]] | None = None
 
     def __post_init__(self) -> None:
         self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
@@ -255,11 +257,10 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
         raise ValueError(
             f"hyperparameters cover {hyper.n_phases} phases but data has {len(data)}"
         )
-    sizes = [np.asarray(s.observed_sizes, dtype=np.int64) for s in data]
 
     def broadcast(value, name):
         if not isinstance(value, list):
-            return [np.full(s.shape, float(value)) for s in sizes]
+            return [[float(value)] * s.distinct_bugs for s in data]
         if len(value) != len(data):
             raise ValueError(f"{name} must list one row per phase")
         rows = [np.asarray(v, dtype=float) for v in value]
@@ -268,19 +269,19 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
                 raise ValueError(
                     f"phase {summary.phase}: expected {summary.distinct_bugs} per-bug values"
                 )
-        return rows
+        return [row.tolist() for row in rows]
 
     a = broadcast(hyper.a, "a")
     b = broadcast(hyper.b, "b")
-    if any(np.any(row <= 0) for row in a + b):
+    if any(v <= 0 for row in a + b for v in row):
         raise ValueError("a and b must be positive")
     if hyper.m_weights is None:
-        multipliers = np.asarray(TRIAL_CANDIDATE_MULTIPLIERS, dtype=np.int64)
         m_weights = [
-            [np.maximum(s, 1) * multipliers for s in phase_sizes] for phase_sizes in sizes
+            [[max(s, 1) * k for k in TRIAL_CANDIDATE_MULTIPLIERS] for s in summary.observed_sizes]
+            for summary in data
         ]
     else:
-        m_weights = [[np.asarray(w) for w in row] for row in hyper.m_weights]
+        m_weights = [[np.asarray(w).tolist() for w in row] for row in hyper.m_weights]
     return replace(hyper, a=a, b=b, m_weights=m_weights)
 
 
@@ -288,21 +289,23 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
 class ChainState:
     """Current draw of one MCMC chain.
 
-    ``S[j][i]`` must stay within [max(observed size, 1), n_trials]; the
-    sampler's Metropolis step reads only the bug it updates and relies on
-    every other bug keeping these bounds.  Per-phase totals ``F`` are
-    summed on demand, never stored, so direct writes to ``S`` can never
-    leave a stale total.
+    ``S[j][i]``, ``t[j][i]`` and ``n_trials[j][i]`` hold bug i of phase j,
+    ``p[j]`` phase j; ``init_state`` builds them as lists of Python ints
+    and floats.  ``S[j][i]`` must stay within [max(observed size, 1),
+    n_trials]; the sampler's Metropolis step reads only the bug it updates
+    and relies on every other bug keeping these bounds.  Per-phase totals
+    ``F`` are summed on demand, never stored, so direct writes to ``S`` can
+    never leave a stale total.
     """
 
-    S: list[np.ndarray]
-    p: np.ndarray
-    t: list[np.ndarray]
-    n_trials: list[np.ndarray]
+    S: list[list[int]]
+    p: list[float]
+    t: list[list[float]]
+    n_trials: list[list[int]]
 
     @property
     def F(self) -> list[int]:
-        return [int(row.sum()) for row in self.S]
+        return [sum(row) for row in self.S]
 
 
 def size_params(per_phase_totals) -> list:
@@ -353,13 +356,12 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=No
     return -inf; S above its trial count is a structural violation.
     """
     for j, (S_row, n_row) in enumerate(zip(state.S, state.n_trials)):
-        if np.any(S_row > n_row):
+        if any(S > n for S, n in zip(S_row, n_row)):
             raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
-        if np.any(S_row < 0):
+        if any(S < 0 for S in S_row):
             raise ValueError(f"phase {j + 1}: negative eventual size")
-    for S_row in state.S:
-        if np.any(S_row == 0):
-            return -math.inf
+    if any(S == 0 for S_row in state.S for S in S_row):
+        return -math.inf
 
     r = size_params(state.F)
     if min(r) <= 0:

@@ -308,6 +308,11 @@ def _default_grid(samples) -> tuple[float, ...]:
     mean = _sum(x) / n
     spread = sqrt(_sum([(v - mean) * (v - mean) for v in x]) / (n - 1)) if n > 1 else 0.0
     reference = 1.06 * spread * n ** (-0.2)
+    if not isfinite(reference):
+        raise ValueError(
+            f"the reference bandwidth of these totals overflows to {reference}; "
+            "set a fixed --bandwidth"
+        )
     if reference <= 0:
         reference = max(abs(mean) * 0.1, 1.0)
     return tuple(reference * g for g in GRID_FACTORS)

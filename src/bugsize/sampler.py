@@ -4,13 +4,15 @@ Each sweep updates every S_ij by an independence Metropolis step with a
 Poisson(max(s_ij, 1)) proposal, s_ij being the observed size, then every
 t_ij and every p_j from their conjugate Beta conditionals.  Chains run one
 after another, each reproducible from its own sub-seed spawned from a
-single configured seed.
+single configured seed.  A chain's state and per-bug priors are plain
+Python numbers; numpy supplies the random streams, the retained draws and
+the diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import lgamma, log, log1p
 
 import numpy as np
@@ -43,6 +45,11 @@ __all__ = [
 ]
 
 
+# Every probability the chain holds, t_ij and p_j, is kept inside
+# [EPSILON_FLOOR, 1 - EPSILON_FLOOR] so that its logarithms stay finite.
+EPSILON_FLOOR = 1e-12
+
+
 class InitializationError(RuntimeError):
     """No feasible starting state could be constructed for the chain."""
 
@@ -54,7 +61,6 @@ class SamplerConfig:
     burn_in: int = 500
     thin: int = 1
     seed: int = 0
-    epsilon_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.chains < 1:
@@ -65,8 +71,6 @@ class SamplerConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not 0.0 < self.epsilon_floor < 0.5:
-            raise ValueError("epsilon_floor must lie in (0, 0.5)")
 
     @property
     def n_retained(self) -> int:
@@ -117,10 +121,10 @@ class PosteriorSummary:
         return float(np.mean(rates))
 
 
-def _clamped_beta(rng: np.random.Generator, a: float, b: float, floor: float) -> float:
+def _clamped_beta(rng: np.random.Generator, a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"Beta parameters must be positive, got ({a}, {b})")
-    return float(min(max(rng.beta(a, b), floor), 1.0 - floor))
+    return float(min(max(rng.beta(a, b), EPSILON_FLOOR), 1.0 - EPSILON_FLOOR))
 
 
 def gibbs_update_p(
@@ -129,19 +133,18 @@ def gibbs_update_p(
     j: int,
     rng: np.random.Generator,
     totals: list[int],
-    eps_floor: float = 1e-12,
 ) -> float:
     """Draw p_j from its conjugate conditional Beta(N_j + alpha_j, r_j + beta_j).
 
     `totals` are the per-phase totals of the state's eventual sizes
     (``ChainState.F``); the sweep carries them instead of summing the state.
     """
-    r_j = float(size_params(totals)[j])
-    if r_j <= 0.0:
+    r_j = size_params(totals)[j]
+    if r_j <= 0:
         raise ValueError(f"phase {j + 1}: size parameter {r_j} must be positive")
     a = data[j].runs_cumulative + hyper.alpha_hat[j]
     b = r_j + hyper.beta_hat[j]
-    return _clamped_beta(rng, a, b, eps_floor)
+    return _clamped_beta(rng, a, b)
 
 
 def gibbs_update_t(
@@ -150,16 +153,15 @@ def gibbs_update_t(
     i: int,
     j: int,
     rng: np.random.Generator,
-    eps_floor: float = 1e-12,
 ) -> float:
     """Draw t_ij from Beta(S_ij + a_ij, n_ij - S_ij + b_ij)."""
-    S = int(state.S[j][i])
-    n = int(state.n_trials[j][i])
+    S = state.S[j][i]
+    n = state.n_trials[j][i]
     if S > n:
         raise ValueError(f"bug ({i}, {j}): eventual size {S} exceeds trial count {n}")
     a = S + hyper.a[j][i]
     b = n - S + hyper.b[j][i]
-    return _clamped_beta(rng, a, b, eps_floor)
+    return _clamped_beta(rng, a, b)
 
 
 def mh_log_alpha(
@@ -188,13 +190,13 @@ def mh_log_alpha(
     """
     s = data[j].observed_sizes[i]
     lam = s if s > 1 else 1  # max(s, 1), without the call on the hot path
-    n_ij = int(state.n_trials[j][i])
-    if proposed < lam or proposed > n_ij:
+    n = state.n_trials[j][i]
+    if proposed < lam or proposed > n:
         return -math.inf
-    current = int(state.S[j][i])
+    current = state.S[j][i]
     if proposed == current:
         return 0.0
-    if current > n_ij:
+    if current > n:
         raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
     delta = proposed - current
@@ -208,16 +210,15 @@ def mh_log_alpha(
     if current < 1 or min(r) <= 0.0:
         return math.inf
 
-    S, S_new, n = float(current), float(proposed), float(n_ij)
-    t = float(state.t[j][i])
-    out = log(S_new) - log(S) + lgamma(S + 1.0) - lgamma(S_new + 1.0)
-    out += lgamma(n - S + 1.0) - lgamma(n - S_new + 1.0)
+    t = state.t[j][i]
+    out = log(proposed) - log(current) + lgamma(current + 1.0) - lgamma(proposed + 1.0)
+    out += lgamma(n - current + 1.0) - lgamma(n - proposed + 1.0)
     out += delta * (log(t) - log1p(-t))
     for k in (j, *range(j + 2, len(r))):
-        N_k = float(data[k].runs_cumulative)
+        N_k = data[k].runs_cumulative
         out += lgamma(N_k + r_new[k]) - lgamma(r_new[k])
         out -= lgamma(N_k + r[k]) - lgamma(r[k])
-        out += (r_new[k] - r[k]) * log1p(-float(state.p[k]))
+        out += (r_new[k] - r[k]) * log1p(-state.p[k])
 
     correction = (current * log(lam) - lgamma(current + 1.0)) - (
         proposed * log(lam) - lgamma(proposed + 1.0)
@@ -238,7 +239,7 @@ def mh_update_S(
     `totals` (``state.F``) is passed on to `mh_log_alpha`; the step does
     not change it.
     """
-    current = int(state.S[j][i])
+    current = state.S[j][i]
     s = data[j].observed_sizes[i]
     proposed = int(rng.poisson(s if s > 1 else 1))  # Poisson(max(s_ij, 1))
     log_alpha = mh_log_alpha(state, data, i, j, proposed, totals)
@@ -264,37 +265,33 @@ def init_state(
     """
     n_trials = []
     for j, summary in enumerate(data):
-        row = np.array(
-            [sample_n_trials(hyper.m_weights[j][i], rng) for i in range(summary.distinct_bugs)],
-            dtype=np.int64,
-        )
-        floors = np.maximum(np.asarray(summary.observed_sizes, dtype=np.int64), 1)
-        if np.any(row < floors):
-            bad = int(np.argmax(row < floors))
+        row = [sample_n_trials(hyper.m_weights[j][i], rng) for i in range(summary.distinct_bugs)]
+        floors = [max(s, 1) for s in summary.observed_sizes]
+        bad = next((i for i, (n, f) in enumerate(zip(row, floors)) if n < f), None)
+        if bad is not None:
             raise InitializationError(
                 f"phase {summary.phase}, bug {bad}: sampled trial count {row[bad]} "
                 f"is below the observed size {floors[bad]}"
             )
         n_trials.append(row)
 
-    S = [
-        np.maximum(np.asarray(s.observed_sizes, dtype=np.int64), 1).copy() for s in data
-    ]
-    total_slack = int(sum((n - s).sum() for n, s in zip(n_trials, S)))
+    S = [[max(s, 1) for s in summary.observed_sizes] for summary in data]
+    total_slack = sum(n - s for n_row, S_row in zip(n_trials, S) for n, s in zip(n_row, S_row))
     for _ in range(total_slack + 1):
-        r = size_params([int(row.sum()) for row in S])
+        r = size_params([sum(row) for row in S])
         if min(r) > 0:
             break
         k = next(k for k, r_k in enumerate(r) if r_k <= 0)
         need = 1 - r[k]
-        slack = n_trials[k] - S[k]
-        if slack.sum() < need:
+        slack = [n - s for n, s in zip(n_trials[k], S[k])]
+        if sum(slack) < need:
             raise InitializationError(
                 f"phase {k + 1}: size parameter {r[k]} cannot be made positive; "
-                f"needs {need} more eventual size but only {int(slack.sum())} slack"
+                f"needs {need} more eventual size but only {sum(slack)} slack"
             )
-        for i in np.argsort(slack)[::-1]:
-            take = min(int(slack[i]), need)
+        # numpy's argsort fixes the order among bugs with equal slack
+        for i in np.argsort(slack)[::-1].tolist():
+            take = min(slack[i], need)
             S[k][i] += take
             need -= take
             if need == 0:
@@ -302,27 +299,22 @@ def init_state(
     else:
         raise InitializationError("feasibility repair did not converge")
 
-    t = [
-        np.clip(hyper.a[j] / (hyper.a[j] + hyper.b[j]), 1e-12, 1.0 - 1e-12)
-        for j in range(len(data))
-    ]
-    p = np.clip(hyper.alpha_hat / (hyper.alpha_hat + hyper.beta_hat), 1e-12, 1.0 - 1e-12)
-    return ChainState(S=S, p=np.asarray(p, dtype=float), t=t, n_trials=n_trials)
+    def clip(x):
+        return min(max(x, EPSILON_FLOOR), 1.0 - EPSILON_FLOOR)
+
+    t = [[clip(a / (a + b)) for a, b in zip(*rows)] for rows in zip(hyper.a, hyper.b)]
+    p = [clip(a / (a + b)) for a, b in zip(hyper.alpha_hat.tolist(), hyper.beta_hat.tolist())]
+    return ChainState(S=S, p=p, t=t, n_trials=n_trials)
 
 
 def _run_single_chain(data, hyper, config, seed_seq):
     rng = np.random.default_rng(seed_seq)
     state = init_state(data, hyper, rng)
-    # The updates read one bug's prior at a time: Python floats index faster
-    # than numpy rows.
-    hyper = replace(
-        hyper, a=[row.tolist() for row in hyper.a], b=[row.tolist() for row in hyper.b]
-    )
     m = len(data)
     n_bugs = [s.distinct_bugs for s in data]
 
     draws = np.empty((config.n_retained, m))
-    accept_counts = [np.zeros(n, dtype=np.int64) for n in n_bugs]
+    accept_counts = [[0] * n for n in n_bugs]
     # Per-phase totals of state.S, moved with every accepted S step so the
     # updates need not sum the state.
     F = state.F
@@ -334,20 +326,20 @@ def _run_single_chain(data, hyper, config, seed_seq):
             for i in range(n_bugs[j]):
                 new_S, accepted = mh_update_S(state, data, i, j, rng, F)
                 if accepted:
-                    F[j] += new_S - int(S_row[i])
+                    F[j] += new_S - S_row[i]
                     S_row[i] = new_S
                     accept_counts[j][i] += 1
         for j in range(m):
             for i in range(n_bugs[j]):
-                state.t[j][i] = gibbs_update_t(state, hyper, i, j, rng, config.epsilon_floor)
+                state.t[j][i] = gibbs_update_t(state, hyper, i, j, rng)
         for j in range(m):
-            state.p[j] = gibbs_update_p(hyper, data, j, rng, F, config.epsilon_floor)
+            state.p[j] = gibbs_update_p(hyper, data, j, rng, F)
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             draws[out] = F
             out += 1
 
-    rates = [counts / config.iterations for counts in accept_counts]
+    rates = [[count / config.iterations for count in row] for row in accept_counts]
     return draws, rates
 
 

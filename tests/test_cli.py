@@ -65,6 +65,12 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert err.startswith("error: unrecognized arguments: --config x.json\nusage: bugsize")
 
+    def test_fit_takes_no_epsilon_floor(self, capsys):
+        # the sampler's probability floor is a constant, not an option
+        code, out, err = run_cli(capsys, "fit", "--data", "x.csv", "--epsilon-floor", "1e-9")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: --epsilon-floor 1e-9\nusage: bugsize")
+
 
 @pytest.fixture
 def sample_log(tmp_path):
@@ -777,6 +783,10 @@ class TestNonFinite:
             (["predict", "--totals", "3,2", "--config", "{windows}"],
              {"windows": '{"windows": [[0, 1], [1, Infinity]]}'},
              "config 'windows' must be a list of lists of 2 numbers or null, got [[0, 1], [1, Infinity]]"),
+            (["predict", "--totals", "1e200,1e100,1e150"], {},
+             "the reference bandwidth of these totals overflows to inf; set a fixed --bandwidth"),
+            (["predict", "--totals", "1e308,1e300"], {},
+             "the reference bandwidth of these totals overflows to inf; set a fixed --bandwidth"),
             (["fit", "--data", "{log}", "--runs", "40,90", "--config", "{hyper}"],
              {"log": "cycle,defect_header,defect_id,size\n1,2,3,1\n2,13,31,2\n", "hyper": '{"a": NaN}'},
              "config 'a' must be a number or a list of lists of numbers, got NaN"),
@@ -784,7 +794,8 @@ class TestNonFinite:
         ids=[
             "totals-nan", "totals-inf", "decide-totals-inf", "bandwidth-nan", "cv-grid-nan",
             "temporal-rate-nan", "predict-epsilon-inf", "decide-epsilon-nan", "report-F_mean",
-            "report-predicted", "report-totals", "draws-F", "config-window", "fit-config",
+            "report-predicted", "report-totals", "draws-F", "config-window", "bandwidth-overflow",
+            "bandwidth-overflow-max", "fit-config",
         ],
     )
     def test_exits_1(self, capsys, tmp_path, argv, files, message):

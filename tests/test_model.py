@@ -248,8 +248,8 @@ class TestResolveForData:
     def test_defaults(self):
         data = [PhaseSummary(1, 5, {1: 2, 2: 3}), PhaseSummary(2, 9, {3: 1})]
         hyper = resolve_for_data(sample_hyper(2, 0), data)
-        assert hyper.m_weights[0][0].tolist() == [2, 4, 6, 8]
-        assert hyper.a[0].shape == (2,)
+        assert hyper.m_weights[0][0] == [2, 4, 6, 8]
+        assert len(hyper.a[0]) == 2
 
     @pytest.mark.parametrize("name", ["a", "b"])
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -14,6 +15,7 @@ from bugsize.model import (
     flat_hyperparams,
     log_posterior_S_kernel,
     resolve_for_data,
+    sample_hyper,
     size_params,
 )
 from bugsize.sampler import (
@@ -302,8 +304,8 @@ class TestInitState:
     def test_starts_at_observed_sizes(self):
         data, hyper, _ = _single_bug_setup(s=3, n=10)
         state = init_state(data, hyper, np.random.default_rng(0))
-        assert state.S[0].tolist() == [3]
-        assert state.n_trials[0].tolist() == [10]
+        assert state.S[0] == [3]
+        assert state.n_trials[0] == [10]
         assert state.t[0][0] == pytest.approx(0.5)
 
     def test_repair_raises_later_phase(self):
@@ -318,8 +320,8 @@ class TestInitState:
         hyper.m_weights = [[np.array([5])], [np.array([6])], [np.array([9])]]
         resolved = resolve_for_data(hyper, data)
         state = init_state(data, resolved, np.random.default_rng(0))
-        assert state.S[0].tolist() == [5]
-        assert state.S[1].tolist() == [6]
+        assert state.S[0] == [5]
+        assert state.S[1] == [6]
         assert state.S[2][0] == 6  # raised from 2 until r_3 = 1
         assert size_params(state.F) == [5, 6, 1]
 
@@ -342,6 +344,29 @@ class TestInitState:
         resolved = resolve_for_data(hyper, data)
         with pytest.raises(InitializationError, match="below the observed size"):
             init_state(data, resolved, np.random.default_rng(0))
+
+    def test_state_and_priors_are_plain_python(self):
+        # numpy rows in, Python numbers out: per-bug priors given as arrays,
+        # candidates as arrays (as oracle_hyperparams gives them) and the
+        # default candidates
+        data = [PhaseSummary(1, 10, {1: 2, 2: 3}), PhaseSummary(2, 30, {3: 4})]
+        given = flat_hyperparams(2)
+        given.a = [np.array([1.5, 2.0]), np.array([3.0])]
+        given.b = [[2.0, 1.0], [0.5]]
+        given.m_weights = [[np.array([4, 6]), np.array([3])], [np.array([8])]]
+
+        def kinds(value):
+            if isinstance(value, list):
+                return set().union(*map(kinds, value))
+            return {type(value)}
+
+        for hyper in (given, sample_hyper(2, 3)):
+            resolved = resolve_for_data(hyper, data)
+            state = init_state(data, resolved, np.random.default_rng(0))
+            for field in (resolved.a, resolved.b, state.t, state.p):
+                assert kinds(field) == {float}
+            for field in (resolved.m_weights, state.S, state.n_trials):
+                assert kinds(field) == {int}
 
 
 def _small_data():
@@ -413,6 +438,20 @@ class TestRunChain:
         assert calls == {"mh_update_S": 2 * 150 * 6, "gibbs_update_p": 2 * 150 * 3}
         assert len(states) == 2
         assert len(seen) > 10  # the totals did move
+
+    def test_draws_pinned(self):
+        # Default trial candidates, a sampled phase prior and a third phase
+        # that init_state has to repair; the hash pins every retained draw.
+        data = [
+            PhaseSummary(1, 40, {1: 3, 2: 1, 3: 5}),
+            PhaseSummary(2, 95, {4: 4, 5: 2, 6: 6, 7: 1}),
+            PhaseSummary(3, 160, {8: 3, 9: 2, 10: 1}),
+        ]
+        config = SamplerConfig(chains=2, iterations=300, burn_in=60, thin=2, seed=2024)
+        posterior = run_chain(data, sample_hyper(3, 5), config)
+        digest = hashlib.sha256(posterior.draws.tobytes()).hexdigest()
+        assert digest == "813097a988912222a6d887ae241d9f2e2dd9b54391ec0d8e60ab40a70f0172bc"
+        assert posterior.acceptance_rate_mean == 0.2325
 
     def test_nonincreasing_runs_rejected(self):
         data = [PhaseSummary(1, 30, {1: 2}), PhaseSummary(2, 30, {2: 3})]

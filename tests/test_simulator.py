@@ -124,6 +124,16 @@ def test_binomial_pmf_matches_scipy(n, t):
     assert pmf.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 37, 1030])
+@pytest.mark.parametrize("t", [0.03, 0.37, 1.0])
+def test_size_biased_binomial_is_shifted_binomial(n, t):
+    # the identity the simulator draws eventual sizes by
+    pmf = size_biased_pmf(binomial_pmf(n, t))
+    shifted = np.zeros(n + 1)
+    shifted[1:] = binom.pmf(np.arange(n), n - 1, t)
+    np.testing.assert_allclose(pmf.mass, shifted, rtol=0, atol=1e-12)
+
+
 def test_binomial_degenerate_rates_are_point_masses():
     assert binomial_pmf(5, 0.0).mass.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     assert binomial_pmf(5, 1.0).mass.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
