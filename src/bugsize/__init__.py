@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "model": (
         "ChainState",
-        "DiscretePmf",
         "HyperConfig",
         "Hyperparams",
         "build_hyperparams",
@@ -43,7 +42,6 @@ _EXPORTS = {
         "log_posterior_S_kernel",
         "sample_hyper",
         "sample_n_trials",
-        "size_biased_pmf",
         "solve_beta_hyper",
     ),
     "predictor": (
@@ -65,7 +63,15 @@ _EXPORTS = {
         "mh_update_S",
         "run_chain",
     ),
-    "simulator": ("GroundTruth", "ScenarioConfig", "TestLog", "default_scenario", "generate"),
+    "simulator": (
+        "DiscretePmf",
+        "GroundTruth",
+        "ScenarioConfig",
+        "TestLog",
+        "default_scenario",
+        "generate",
+        "size_biased_pmf",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

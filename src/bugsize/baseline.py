@@ -273,7 +273,7 @@ def compare_models(
             )
             hyper = oracle_hyperparams(truth, trial_scenario.t_range)
             posterior = run_chain(summaries, hyper, config)
-            predicted_sized = float(posterior.F_mean.sum()) - observed_total
+            predicted_sized = sum(posterior.F_mean) - observed_total
 
             n_total = int(sum(trial_scenario.bugs_per_phase))
             state = initial_state(n_total, comparison.p0)

@@ -276,17 +276,17 @@ def _cmd_fit(args) -> tuple[dict, dict]:
         "burn_in": args.burn_in,
         "thin": args.thin,
     }
-    low, high = posterior.F_ci
+    mean, median, (low, high) = posterior.F_mean, posterior.F_median, posterior.F_ci
     per_phase = []
     for idx, summary in enumerate(summaries):
         diag = posterior.diagnostics[idx] if posterior.diagnostics else None
         per_phase.append(
             {
                 "phase": summary.phase,
-                "F_mean": float(posterior.F_mean[idx]),
-                "F_median": float(posterior.F_median[idx]),
-                "F_ci_low": float(low[idx]),
-                "F_ci_high": float(high[idx]),
+                "F_mean": mean[idx],
+                "F_median": median[idx],
+                "F_ci_low": low[idx],
+                "F_ci_high": high[idx],
                 "r_hat": diag.r_hat if diag else None,
                 "ess": diag.ess if diag else None,
             }
@@ -309,13 +309,11 @@ def _dump_draws(posterior: PosteriorSummary, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["iteration", "chain", "phase", "F"])
-        for chain in range(posterior.chains):
-            for k in range(posterior.draws.shape[1]):
+        for chain, rows in enumerate(posterior.draws):
+            for k, totals in enumerate(rows):
                 iteration = posterior.burn_in + k * posterior.thin
-                for phase_idx in range(posterior.draws.shape[2]):
-                    writer.writerow(
-                        [iteration, chain, phase_idx + 1, repr(float(posterior.draws[chain, k, phase_idx]))]
-                    )
+                for phase_idx, total in enumerate(totals):
+                    writer.writerow([iteration, chain, phase_idx + 1, repr(float(total))])
 
 
 def _totals_from_args(args) -> list[float]:
@@ -386,9 +384,26 @@ def _cmd_predict(args) -> tuple[dict, dict]:
 
 
 def _draws_from_dump(path: str) -> list[float]:
+    """The `F` column of a `fit --dump-draws` file.  A header without an `F`
+    column, a row too short to reach it or a value that is not a number
+    raises a ValueError naming the file, the line and the column."""
+    values = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        values = [float(row["F"]) for row in reader]
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if "F" not in header:
+            raise ValueError(f"{path} line 1: missing required column 'F'")
+        column = header.index("F")
+        for row in reader:
+            if not row:  # a blank line, which csv.DictReader also skips
+                continue
+            where = f"{path} line {reader.line_num}"
+            if len(row) <= column:
+                raise ValueError(f"{where}: the row has {len(row)} fields and no column 'F'")
+            try:
+                values.append(float(row[column]))
+            except ValueError:
+                raise ValueError(f"{where}: column 'F' has non-numeric value {row[column]!r}") from None
     if not values:
         raise ValueError(f"{path} holds no draws")
     if not all(map(math.isfinite, values)):

@@ -16,18 +16,14 @@ reach tens of thousands and direct products underflow.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from math import lgamma, log, log1p
-
-import numpy as np
 
 from .ingest import PhaseSummary
 
 __all__ = [
     "InfeasiblePhaseError",
-    "DiscretePmf",
-    "binomial_pmf",
-    "size_biased_pmf",
     "solve_beta_hyper",
     "sample_hyper",
     "sample_n_trials",
@@ -58,74 +54,6 @@ class InfeasiblePhaseError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class DiscretePmf:
-    """A finite discrete distribution over non-negative integer support."""
-
-    support: np.ndarray
-    mass: np.ndarray
-
-    def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=np.int64)
-        mass = np.asarray(self.mass, dtype=float)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", mass)
-        if support.shape != mass.shape or support.ndim != 1 or support.size == 0:
-            raise ValueError("support and mass must be equal-length 1-d arrays")
-        if np.any(np.diff(support) <= 0):
-            raise ValueError("support must be strictly increasing")
-        if np.any(mass < 0):
-            raise ValueError("probability mass must be non-negative")
-        if abs(float(mass.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.mass))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        mass = self.mass / self.mass.sum()
-        return rng.choice(self.support, size=size, p=mass)
-
-
-def binomial_pmf(n: int, t: float) -> DiscretePmf:
-    """Binomial(n, t) as an explicit pmf over 0..n.
-
-    The mass is built in log space and normalised after subtracting its
-    maximum, so n in the tens of thousands neither overflows nor
-    underflows; t = 0 and t = 1 are exact point masses.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    support = np.arange(n + 1)
-    if t in (0.0, 1.0):
-        mass = (support == (0 if t == 0.0 else n)).astype(float)
-        return DiscretePmf(support, mass)
-    log_factorial = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)
-    log_mass = (
-        log_factorial[n]
-        - log_factorial
-        - log_factorial[::-1]
-        + support * log(t)
-        + (n - support) * log1p(-t)
-    )
-    mass = np.exp(log_mass - log_mass.max())
-    return DiscretePmf(support, mass / mass.sum())
-
-
-def size_biased_pmf(f: DiscretePmf) -> DiscretePmf:
-    """Reweight a size distribution proportionally to size: h(s) = s f(s) / E[S].
-
-    The mass at s = 0 becomes 0; a point mass at 0 has no size-biased
-    counterpart and is rejected.
-    """
-    mean = f.mean()
-    if mean <= 0.0:
-        raise ValueError("size-biased transform undefined: distribution has zero mean")
-    return DiscretePmf(f.support, f.support * f.mass / mean)
-
-
 def solve_beta_hyper(mu: float, sigma2: float) -> tuple[float, float]:
     """Beta parameters matching a given mean and variance.
 
@@ -154,19 +82,20 @@ class Hyperparams:
     counts for bug i of phase j; a candidate is drawn with probability
     proportional to its own value.  ``resolve_for_data`` produces the
     expanded form, in which ``a``, ``b`` and ``m_weights`` are nested lists
-    of Python numbers.
+    of Python numbers.  ``alpha_hat`` and ``beta_hat`` are held as lists of
+    Python floats, one per phase.
     """
 
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
+    alpha_hat: list[float]
+    beta_hat: list[float]
     a: float | list[list[float]] = 1.0
     b: float | list[list[float]] = 1.0
     m_weights: list[list[list[int]]] | None = None
 
     def __post_init__(self) -> None:
-        self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
-        self.beta_hat = np.asarray(self.beta_hat, dtype=float)
-        if np.any(self.alpha_hat <= 0) or np.any(self.beta_hat <= 0):
+        self.alpha_hat = [float(x) for x in self.alpha_hat]
+        self.beta_hat = [float(x) for x in self.beta_hat]
+        if any(x <= 0 for x in self.alpha_hat + self.beta_hat):
             raise ValueError("alpha_hat and beta_hat must be positive")
 
     @property
@@ -178,33 +107,32 @@ def sample_hyper(num_phases: int, seed) -> Hyperparams:
     """Draw phase-level hyperparameters from their uniform hyperpriors.
 
     mu_j ~ U(0,1), sigma2_j | mu_j ~ U(0, mu_j(1-mu_j)); alpha_hat and
-    beta_hat follow by moment matching.  Deterministic given the seed.
+    beta_hat follow by moment matching.  Deterministic given the seed: the
+    draws come from a ``random.Random`` seeded with a string that names the
+    hyperprior and ``seed``, so no sampler chain shares the stream.
     """
     if num_phases < 1:
         raise ValueError("num_phases must be >= 1")
-    rng = np.random.default_rng(seed)
-    mu = rng.uniform(0.0, 1.0, size=num_phases)
-    sigma2 = rng.uniform(0.0, mu * (1.0 - mu))
+    rng = random.Random(f"bugsize hyperprior {seed}")
+    mu = [rng.random() for _ in range(num_phases)]
+    sigma2 = [rng.random() * m * (1.0 - m) for m in mu]
     pairs = [solve_beta_hyper(m, s) for m, s in zip(mu, sigma2)]
     return Hyperparams(alpha_hat=[p[0] for p in pairs], beta_hat=[p[1] for p in pairs])
 
 
 def flat_hyperparams(num_phases: int) -> Hyperparams:
     """Uniform Beta(1, 1) phase priors; handy for tests and calibration."""
-    ones = np.ones(num_phases)
-    return Hyperparams(alpha_hat=ones.copy(), beta_hat=ones.copy())
+    return Hyperparams(alpha_hat=[1.0] * num_phases, beta_hat=[1.0] * num_phases)
 
 
-def sample_n_trials(weights, rng: np.random.Generator) -> int:
+def sample_n_trials(weights: list[int], rng: random.Random) -> int:
     """Draw a trial count: candidate value w is chosen with probability
     proportional to w itself."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or np.any(weights < 0):
+    if not weights or min(weights) < 0:
         raise ValueError("candidate trial counts must be non-negative and non-empty")
-    total = weights.sum()
-    if total <= 0:
+    if sum(weights) <= 0:
         raise ValueError("candidate trial counts are all zero")
-    return int(rng.choice(weights, p=weights / total))
+    return rng.choices(weights, weights=weights)[0]
 
 
 @dataclass(frozen=True)
@@ -234,8 +162,8 @@ def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hy
         for name, value in (("mu", config.mu), ("sigma2", config.sigma2)):
             if isinstance(value, list) and len(value) != m:
                 raise ValueError(f"config '{name}' lists {len(value)} values for {m} phases")
-        mu = np.broadcast_to(np.asarray(config.mu, dtype=float), (m,))
-        sigma2 = np.broadcast_to(np.asarray(config.sigma2, dtype=float), (m,))
+        mu = config.mu if isinstance(config.mu, list) else [config.mu] * m
+        sigma2 = config.sigma2 if isinstance(config.sigma2, list) else [config.sigma2] * m
         pairs = [solve_beta_hyper(u, s) for u, s in zip(mu, sigma2)]
         hyper = Hyperparams(alpha_hat=[p[0] for p in pairs], beta_hat=[p[1] for p in pairs])
     elif (config.mu is None) != (config.sigma2 is None):
@@ -263,13 +191,13 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
             return [[float(value)] * s.distinct_bugs for s in data]
         if len(value) != len(data):
             raise ValueError(f"{name} must list one row per phase")
-        rows = [np.asarray(v, dtype=float) for v in value]
+        rows = [[float(v) for v in row] for row in value]
         for row, summary in zip(rows, data):
-            if row.shape != (summary.distinct_bugs,):
+            if len(row) != summary.distinct_bugs:
                 raise ValueError(
                     f"phase {summary.phase}: expected {summary.distinct_bugs} per-bug values"
                 )
-        return [row.tolist() for row in rows]
+        return rows
 
     a = broadcast(hyper.a, "a")
     b = broadcast(hyper.b, "b")
@@ -281,7 +209,7 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
             for summary in data
         ]
     else:
-        m_weights = [[np.asarray(w).tolist() for w in row] for row in hyper.m_weights]
+        m_weights = [[[int(n) for n in w] for w in row] for row in hyper.m_weights]
     return replace(hyper, a=a, b=b, m_weights=m_weights)
 
 
@@ -327,14 +255,14 @@ def log_likelihood(totals_cumulative, runs_cumulative, p) -> float:
     + r_k log(1 - p_k) with r_k = F_k - sum_{i<k} F_i.  All r_k must be
     positive; every p_k must lie strictly inside (0, 1).
     """
-    F = np.asarray(totals_cumulative, dtype=float)
-    N = np.asarray(runs_cumulative, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if not (F.shape == N.shape == p.shape) or F.ndim != 1:
+    F = [float(x) for x in totals_cumulative]
+    N = [float(x) for x in runs_cumulative]
+    p = [float(x) for x in p]
+    if not len(F) == len(N) == len(p):
         raise ValueError("totals, runs and p must be equal-length vectors")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if any(p_k <= 0.0 or p_k >= 1.0 for p_k in p):
         raise ValueError("p must lie strictly inside (0, 1)")
-    r = size_params(np.diff(F, prepend=0.0).tolist())  # per-phase totals from cumulative
+    r = size_params([b - a for a, b in zip([0.0, *F], F)])  # per-phase totals from cumulative
     for k, r_k in enumerate(r):
         if r_k <= 0.0:
             raise InfeasiblePhaseError(k + 1, float(r_k))

@@ -2,20 +2,30 @@
 
 Each sweep updates every S_ij by an independence Metropolis step with a
 Poisson(max(s_ij, 1)) proposal, s_ij being the observed size, then every
-t_ij and every p_j from their conjugate Beta conditionals.  Chains run one
-after another, each reproducible from its own sub-seed spawned from a
-single configured seed.  A chain's state and per-bug priors are plain
-Python numbers; numpy supplies the random streams, the retained draws and
-the diagnostics.
+t_ij and every p_j from their conjugate Beta conditionals.  The sampler is
+pure Python: a chain's state and per-bug priors are Python numbers, and the
+retained draws and their summaries and diagnostics are lists.
+
+Random source.  Chains run one after another, and chain c of a run seeded
+with ``seed`` draws from its own ``random.Random``, seeded with a string
+that names the chain, ``seed`` and c (`chain_rng`).  Equal seeds therefore
+reproduce every chain, and no two chains, nor the hyperprior draw of
+``model.sample_hyper``, share a stream.  Trial counts are drawn with
+``choices``, acceptance uniforms with ``random()`` and the t and p
+conditionals with ``betavariate``.  A Poisson proposal uses numpy's two
+methods (`poisson`): below lam = 10 it multiplies uniforms until the product
+falls to exp(-lam); from lam = 10 it uses the transformed rejection method
+PTRS (Hörmann 1993, *The transformed rejection method for generating
+Poisson random variables*, Insurance: Math. Econ. 12).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from math import lgamma, log, log1p
-
-import numpy as np
+from math import exp, floor, lgamma, log, log1p, sqrt
+from operator import mul
 
 from .ingest import PhaseSummary
 from .model import (
@@ -33,6 +43,8 @@ __all__ = [
     "SamplerConfig",
     "ChainDiagnostics",
     "PosteriorSummary",
+    "chain_rng",
+    "poisson",
     "gibbs_update_p",
     "gibbs_update_t",
     "mh_update_S",
@@ -48,6 +60,7 @@ __all__ = [
 # Every probability the chain holds, t_ij and p_j, is kept inside
 # [EPSILON_FLOOR, 1 - EPSILON_FLOOR] so that its logarithms stay finite.
 EPSILON_FLOOR = 1e-12
+_CEILING = 1.0 - EPSILON_FLOOR
 
 
 class InitializationError(RuntimeError):
@@ -84,12 +97,33 @@ class ChainDiagnostics:
     degenerate: bool = False
 
 
+def _quantile(ordered: list[float], q: float) -> float:
+    """numpy's default ("linear") quantile of values sorted ascending: the
+    linear interpolation at position (n - 1) q, computed as numpy computes
+    it so that the two agree to the last bit."""
+    position = (len(ordered) - 1) * q
+    low = floor(position)
+    if low >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[low], ordered[low + 1]
+    gamma = position - low
+    if gamma >= 0.5:
+        return b - (b - a) * (1.0 - gamma)
+    return a + (b - a) * gamma
+
+
 @dataclass
 class PosteriorSummary:
-    """Retained draws of the per-phase eventual-size totals plus summaries."""
+    """Retained draws of the per-phase eventual-size totals plus summaries.
 
-    draws: np.ndarray  # (chains, retained, phases)
-    acceptance: list[np.ndarray]  # per phase, per bug, mean over chains
+    ``draws[c][k][j]`` is the total of phase j in chain c's k-th retained
+    draw.  The summaries are per phase, over the draws of every chain, and
+    follow numpy's definitions: the mean, the median (the mean of the two
+    middle values for an even count) and the linear-interpolation quantile.
+    """
+
+    draws: list[list[list[int]]]
+    acceptance: list[list[float]]  # per phase, per bug, mean over chains
     diagnostics: list[ChainDiagnostics] | None
     chains: int
     iterations: int
@@ -98,40 +132,92 @@ class PosteriorSummary:
     seed: int
 
     @property
-    def F_draws(self) -> np.ndarray:
-        """Pooled draws, shape (chains * retained, phases)."""
-        return self.draws.reshape(-1, self.draws.shape[-1])
+    def F_draws(self) -> list[list[int]]:
+        """Pooled draws, one row of phase totals per retained draw, chain
+        by chain."""
+        return [row for chain in self.draws for row in chain]
+
+    def _sorted_phases(self) -> list[list[float]]:
+        return [sorted(map(float, column)) for column in zip(*self.F_draws)]
 
     @property
-    def F_mean(self) -> np.ndarray:
-        return self.F_draws.mean(axis=0)
+    def F_mean(self) -> list[float]:
+        return [sum(column) / len(column) for column in zip(*self.F_draws)]
 
     @property
-    def F_median(self) -> np.ndarray:
-        return np.median(self.F_draws, axis=0)
+    def F_median(self) -> list[float]:
+        out = []
+        for column in self._sorted_phases():
+            half = len(column) // 2
+            out.append(column[half] if len(column) % 2 else (column[half - 1] + column[half]) / 2)
+        return out
 
     @property
-    def F_ci(self) -> tuple[np.ndarray, np.ndarray]:
-        low, high = np.quantile(self.F_draws, [0.025, 0.975], axis=0)
-        return low, high
+    def F_ci(self) -> tuple[list[float], list[float]]:
+        columns = self._sorted_phases()
+        return [_quantile(c, 0.025) for c in columns], [_quantile(c, 0.975) for c in columns]
 
     @property
     def acceptance_rate_mean(self) -> float:
-        rates = np.concatenate([row for row in self.acceptance]) if self.acceptance else []
-        return float(np.mean(rates))
+        rates = [rate for row in self.acceptance for rate in row]
+        return sum(rates) / len(rates)
 
 
-def _clamped_beta(rng: np.random.Generator, a: float, b: float) -> float:
+def chain_rng(seed: int, chain: int) -> random.Random:
+    """The random stream of chain `chain` in a run seeded with `seed`."""
+    return random.Random(f"bugsize chain {seed} {chain}")
+
+
+def poisson(rng: random.Random, lam: float) -> int:
+    """One Poisson(lam) draw, lam > 0, by numpy's two methods.
+
+    Below lam = 10, count the uniforms whose running product stays above
+    exp(-lam).  From lam = 10, Hörmann's PTRS: a transformed-rejection draw
+    whose hat and squeeze constants follow from sqrt(lam).
+    """
+    if lam < 10.0:
+        limit = exp(-lam)
+        k = 0
+        product = rng.random()
+        while product > limit:
+            k += 1
+            product *= rng.random()
+        return k
+    slam = sqrt(lam)
+    loglam = log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    log_invalpha = log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        U = rng.random() - 0.5
+        V = rng.random()
+        us = 0.5 - abs(U)
+        if us == 0.0:  # U = -0.5 sends k to -inf, which numpy rejects
+            continue
+        k = floor((2.0 * a / us + b) * U + lam + 0.43)
+        if us >= 0.07 and V <= vr:
+            return k
+        if k < 0 or (us < 0.013 and V > us):
+            continue
+        # log(0) = -inf always accepts
+        if V == 0.0 or log(V) + log_invalpha - log(a / (us * us) + b) <= (
+            -lam + k * loglam - lgamma(k + 1.0)
+        ):
+            return k
+
+
+def _clamped_beta(rng: random.Random, a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"Beta parameters must be positive, got ({a}, {b})")
-    return float(min(max(rng.beta(a, b), EPSILON_FLOOR), 1.0 - EPSILON_FLOOR))
+    return min(max(rng.betavariate(a, b), EPSILON_FLOOR), _CEILING)
 
 
 def gibbs_update_p(
     hyper: Hyperparams,
     data: list[PhaseSummary],
     j: int,
-    rng: np.random.Generator,
+    rng: random.Random,
     totals: list[int],
 ) -> float:
     """Draw p_j from its conjugate conditional Beta(N_j + alpha_j, r_j + beta_j).
@@ -152,7 +238,7 @@ def gibbs_update_t(
     hyper: Hyperparams,
     i: int,
     j: int,
-    rng: np.random.Generator,
+    rng: random.Random,
 ) -> float:
     """Draw t_ij from Beta(S_ij + a_ij, n_ij - S_ij + b_ij)."""
     S = state.S[j][i]
@@ -178,15 +264,15 @@ def mh_log_alpha(
     - [S' log lam - log S'!], where the proposal rate lam = max(s_ij, 1)
     is also the floor S' must reach, and the kernel difference is computed
     from the terms the move touches, in O(phases): bug (i, j)'s own
-    size-biased binomial term, and the negative-binomial terms of the
-    phases whose size parameter moves.  With delta = S' - S, r_j moves
-    by +delta, r_{j+1} stays put and r_k moves by -(k - j - 1) delta for
-    k >= j + 2.  The other bugs are not read; they are taken to satisfy
-    the ChainState bounds.  Proposals below the observed size, below 1,
-    above the trial count, or breaking a phase's size-parameter
-    positivity are rejected outright (-inf); from an infeasible current
-    state any feasible proposal is accepted (+inf).  `totals` are the
-    per-phase totals of ``state.S`` (``state.F``).
+    size-biased binomial term, whose log S! cancels the proposal's, and the
+    negative-binomial terms of the phases whose size parameter moves.  With
+    delta = S' - S, r_j moves by +delta, r_{j+1} stays put and r_k moves by
+    -(k - j - 1) delta for k >= j + 2.  The other bugs are not read; they
+    are taken to satisfy the ChainState bounds.  Proposals below the
+    observed size, below 1, above the trial count, or breaking a phase's
+    size-parameter positivity are rejected outright (-inf); from an
+    infeasible current state any feasible proposal is accepted (+inf).
+    `totals` are the per-phase totals of ``state.S`` (``state.F``).
     """
     s = data[j].observed_sizes[i]
     lam = s if s > 1 else 1  # max(s, 1), without the call on the hot path
@@ -205,25 +291,20 @@ def mh_log_alpha(
     r_new[j] += delta
     for k in range(j + 2, len(r)):
         r_new[k] -= (k - j - 1) * delta
-    if min(r_new) <= 0.0:
+    if min(r_new) <= 0:
         return -math.inf
-    if current < 1 or min(r) <= 0.0:
+    if current < 1 or min(r) <= 0:
         return math.inf
 
     t = state.t[j][i]
-    out = log(proposed) - log(current) + lgamma(current + 1.0) - lgamma(proposed + 1.0)
-    out += lgamma(n - current + 1.0) - lgamma(n - proposed + 1.0)
-    out += delta * (log(t) - log1p(-t))
+    p = state.p
+    out = log(proposed / current) + lgamma(n - current + 1.0) - lgamma(n - proposed + 1.0)
+    out += delta * log(t / ((1.0 - t) * lam))
     for k in (j, *range(j + 2, len(r))):
         N_k = data[k].runs_cumulative
-        out += lgamma(N_k + r_new[k]) - lgamma(r_new[k])
-        out -= lgamma(N_k + r[k]) - lgamma(r[k])
-        out += (r_new[k] - r[k]) * log1p(-state.p[k])
-
-    correction = (current * log(lam) - lgamma(current + 1.0)) - (
-        proposed * log(lam) - lgamma(proposed + 1.0)
-    )
-    return out + correction
+        out += lgamma(N_k + r_new[k]) - lgamma(r_new[k]) - lgamma(N_k + r[k]) + lgamma(r[k])
+        out += (r_new[k] - r[k]) * log1p(-p[k])
+    return out
 
 
 def mh_update_S(
@@ -231,7 +312,7 @@ def mh_update_S(
     data: list[PhaseSummary],
     i: int,
     j: int,
-    rng: np.random.Generator,
+    rng: random.Random,
     totals: list[int],
 ) -> tuple[int, bool]:
     """One Metropolis step for S_ij; returns (new value, accepted).
@@ -241,27 +322,27 @@ def mh_update_S(
     """
     current = state.S[j][i]
     s = data[j].observed_sizes[i]
-    proposed = int(rng.poisson(s if s > 1 else 1))  # Poisson(max(s_ij, 1))
+    proposed = poisson(rng, s if s > 1 else 1)  # Poisson(max(s_ij, 1))
     log_alpha = mh_log_alpha(state, data, i, j, proposed, totals)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
         return current, False
-    if rng.uniform() < math.exp(log_alpha):
+    if rng.random() < exp(log_alpha):
         return proposed, True
     return current, False
 
 
-def init_state(
-    data: list[PhaseSummary], hyper: Hyperparams, rng: np.random.Generator
-) -> ChainState:
+def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random) -> ChainState:
     """Build a feasible starting state.
 
     S starts at the observed sizes, t and p at their prior means.  If
     some phase's size parameter is non-positive at the observed floor,
     eventual sizes in the offending (later) phases are raised toward
-    their trial-count caps until every parameter is positive; running
-    out of slack is an initialization failure.
+    their trial-count caps until every parameter is positive: bugs are
+    raised in order of their slack, largest first, and among bugs of equal
+    slack the lower bug index goes first.  Running out of slack is an
+    initialization failure.
     """
     n_trials = []
     for j, summary in enumerate(data):
@@ -289,8 +370,8 @@ def init_state(
                 f"phase {k + 1}: size parameter {r[k]} cannot be made positive; "
                 f"needs {need} more eventual size but only {sum(slack)} slack"
             )
-        # numpy's argsort fixes the order among bugs with equal slack
-        for i in np.argsort(slack)[::-1].tolist():
+        # sorted() is stable: equal slack keeps the lower index first
+        for i in sorted(range(len(slack)), key=lambda i: -slack[i]):
             take = min(slack[i], need)
             S[k][i] += take
             need -= take
@@ -300,26 +381,25 @@ def init_state(
         raise InitializationError("feasibility repair did not converge")
 
     def clip(x):
-        return min(max(x, EPSILON_FLOOR), 1.0 - EPSILON_FLOOR)
+        return min(max(x, EPSILON_FLOOR), _CEILING)
 
     t = [[clip(a / (a + b)) for a, b in zip(*rows)] for rows in zip(hyper.a, hyper.b)]
-    p = [clip(a / (a + b)) for a, b in zip(hyper.alpha_hat.tolist(), hyper.beta_hat.tolist())]
+    p = [clip(a / (a + b)) for a, b in zip(hyper.alpha_hat, hyper.beta_hat)]
     return ChainState(S=S, p=p, t=t, n_trials=n_trials)
 
 
-def _run_single_chain(data, hyper, config, seed_seq):
-    rng = np.random.default_rng(seed_seq)
+def _run_single_chain(data, hyper, config, chain):
+    rng = chain_rng(config.seed, chain)
     state = init_state(data, hyper, rng)
     m = len(data)
     n_bugs = [s.distinct_bugs for s in data]
 
-    draws = np.empty((config.n_retained, m))
+    draws = []
     accept_counts = [[0] * n for n in n_bugs]
     # Per-phase totals of state.S, moved with every accepted S step so the
     # updates need not sum the state.
     F = state.F
 
-    out = 0
     for it in range(config.iterations):
         for j in range(m):
             S_row = state.S[j]
@@ -330,14 +410,14 @@ def _run_single_chain(data, hyper, config, seed_seq):
                     S_row[i] = new_S
                     accept_counts[j][i] += 1
         for j in range(m):
+            t_row = state.t[j]
             for i in range(n_bugs[j]):
-                state.t[j][i] = gibbs_update_t(state, hyper, i, j, rng)
+                t_row[i] = gibbs_update_t(state, hyper, i, j, rng)
         for j in range(m):
             state.p[j] = gibbs_update_p(hyper, data, j, rng, F)
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            draws[out] = F
-            out += 1
+            draws.append(list(F))
 
     rates = [[count / config.iterations for count in row] for row in accept_counts]
     return draws, rates
@@ -347,8 +427,7 @@ def run_chain(
     data: list[PhaseSummary], hyper: Hyperparams, config: SamplerConfig
 ) -> PosteriorSummary:
     """Run the configured number of chains in turn and summarize the
-    retained draws; chain c uses the c-th sub-seed spawned from
-    config.seed.
+    retained draws; chain c draws from ``chain_rng(config.seed, c)``.
     """
     if not data:
         raise ValueError("data must contain at least one phase summary")
@@ -356,11 +435,11 @@ def run_chain(
     if any(later <= earlier for earlier, later in zip(runs, runs[1:])):
         raise ValueError("cumulative run counts must be strictly increasing")
     resolved = resolve_for_data(hyper, data)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    results = [_run_single_chain(data, resolved, config, s) for s in seeds]
-    draws = np.stack([r[0] for r in results])
+    results = [_run_single_chain(data, resolved, config, c) for c in range(config.chains)]
+    draws = [r[0] for r in results]
     acceptance = [
-        np.mean([r[1][j] for r in results], axis=0) for j in range(len(data))
+        [sum(rates) / config.chains for rates in zip(*(r[1][j] for r in results))]
+        for j in range(len(data))
     ]
     diag = None
     if config.chains >= 2 and config.n_retained >= 10:
@@ -377,75 +456,91 @@ def run_chain(
     )
 
 
-def split_r_hat(draws: np.ndarray) -> tuple[float, bool]:
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _variance(values: list[float]) -> float:
+    """Sample variance, with n - 1 in the denominator (numpy's ddof=1)."""
+    mean = _mean(values)
+    return sum((x - mean) ** 2 for x in values) / (len(values) - 1)
+
+
+def split_r_hat(draws) -> tuple[float, bool]:
     """Split-chain potential scale reduction factor for one quantity.
 
+    `draws` holds one sequence of draws per chain, all of one length.
     Returns (r_hat, degenerate); zero within-chain variance reports 1.0
     with the degeneracy flag set.
     """
-    chains, n = draws.shape
-    half = n // 2
+    chains = [[float(x) for x in chain] for chain in draws]
+    half = len(chains[0]) // 2
     if half < 1:
         raise ValueError("chains must hold at least 2 draws each")
-    split = np.concatenate([draws[:, :half], draws[:, half : 2 * half]], axis=0)
-    within = float(np.mean(np.var(split, axis=1, ddof=1)))
-    means = split.mean(axis=1)
-    between_over_n = float(np.var(means, ddof=1))
+    split = [chain[:half] for chain in chains] + [chain[half : 2 * half] for chain in chains]
+    within = _mean([_variance(part) for part in split])
+    between_over_n = _variance([_mean(part) for part in split])
     if within == 0.0:
         return 1.0, True
     var_plus = (half - 1) / half * within + between_over_n
-    return float(math.sqrt(var_plus / within)), False
+    return math.sqrt(var_plus / within), False
 
 
-def effective_sample_size(draws: np.ndarray) -> float:
+def effective_sample_size(draws) -> float:
     """Autocorrelation-based effective sample size across chains.
 
+    `draws` holds one sequence of draws per chain, all of one length.
     Chain-averaged autocorrelations are summed over Geyer initial
     positive pairs; degenerate (constant) draws report the raw count.
+    Each autocovariance is computed only when the pair sum reaches it.
     """
-    chains, n = draws.shape
-    total = chains * n
-    variances = draws.var(axis=1, ddof=1)
-    if np.all(variances == 0.0):
+    chains = [[float(x) for x in chain] for chain in draws]
+    n = len(chains[0])
+    total = len(chains) * n
+    if all(_variance(chain) == 0.0 for chain in chains):
         return float(total)
-    acov = np.zeros(n)
-    for chain in draws:
-        centered = chain - chain.mean()
-        full = np.correlate(centered, centered, mode="full")[n - 1 :]
-        acov += full / n
-    acov /= chains
-    if acov[0] <= 0.0:
+    centered = [[x - mean for x in chain] for chain, mean in zip(chains, map(_mean, chains))]
+
+    def acov(lag: int) -> float:
+        return sum(sum(map(mul, c, c[lag:])) for c in centered) / (n * len(centered))
+
+    acov0 = acov(0)
+    if acov0 <= 0.0:
         return float(total)
-    rho = acov / acov[0]
     tail = 0.0
     for k in range(1, n - 1, 2):
-        pair = rho[k] + rho[k + 1] if k + 1 < n else rho[k]
+        pair = (acov(k) + acov(k + 1)) / acov0
         if pair < 0.0:
             break
         tail += pair
     ess = total / (1.0 + 2.0 * tail)
-    return float(min(max(ess, 1.0), total))
+    return min(max(ess, 1.0), total)
 
 
-def diagnostics(draws: np.ndarray) -> list[ChainDiagnostics]:
+def diagnostics(draws) -> list[ChainDiagnostics]:
     """Per-quantity split R-hat and effective sample size.
 
-    `draws` has shape (chains, retained) or (chains, retained,
-    quantities); at least 2 chains with 10 retained draws each.
+    `draws` is indexed [chain][draw] or [chain][draw][quantity] (nested
+    lists or an array); at least 2 chains with 10 retained draws each.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 2:
-        draws = draws[:, :, None]
-    if draws.ndim != 3:
-        raise ValueError("draws must have shape (chains, retained[, quantities])")
-    chains, n, _ = draws.shape
-    if chains < 2:
+    chains = [list(chain) for chain in draws]
+    if len(chains) < 2:
         raise ValueError("diagnostics need at least 2 chains")
+    n = len(chains[0])
+    if any(len(chain) != n for chain in chains):
+        raise ValueError("draws must have shape (chains, retained[, quantities])")
     if n < 10:
         raise ValueError("diagnostics need at least 10 retained draws per chain")
+    if not hasattr(chains[0][0], "__len__"):
+        per_quantity = [chains]
+    else:
+        width = len(chains[0][0])
+        if any(len(draw) != width for chain in chains for draw in chain):
+            raise ValueError("draws must have shape (chains, retained[, quantities])")
+        per_quantity = [[[draw[q] for draw in chain] for chain in chains] for q in range(width)]
     out = []
-    for q in range(draws.shape[2]):
-        r_hat, degenerate = split_r_hat(draws[:, :, q])
-        ess = effective_sample_size(draws[:, :, q])
+    for quantity in per_quantity:
+        r_hat, degenerate = split_r_hat(quantity)
+        ess = effective_sample_size(quantity)
         out.append(ChainDiagnostics(r_hat=r_hat, ess=ess, degenerate=degenerate))
     return out

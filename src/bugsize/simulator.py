@@ -10,26 +10,26 @@ An eventual size S is drawn as 1 + Binomial(n - 1, t): size-biasing
 Binomial(n, t) gives exactly that law, since
 s C(n, s) t^s (1-t)^(n-s) / (n t) = C(n-1, s-1) t^(s-1) (1-t)^(n-s).
 One draw costs the same at n = 40 000 as at n = 10, where building the
-pmf would cost O(n).
+pmf would cost O(n).  `binomial_pmf` and `size_biased_pmf` build both
+laws as explicit pmfs (`DiscretePmf`); the tests check the identity
+against them.  They live here, with numpy, so that the fit path
+(`model`, `sampler`) needs only the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lgamma, log, log1p
 
 import numpy as np
 
 from .ingest import TestLogRecord
-from .model import (
-    Hyperparams,
-    binomial_pmf,  # noqa: F401 -- not called: bench/run.py traces this name
-    flat_hyperparams,
-    size_biased_pmf,  # noqa: F401 -- not called: bench/run.py traces this name
-    size_params,
-    solve_beta_hyper,
-)
+from .model import Hyperparams, flat_hyperparams, size_params, solve_beta_hyper
 
 __all__ = [
+    "DiscretePmf",
+    "binomial_pmf",
+    "size_biased_pmf",
     "ScenarioInfeasibleError",
     "ScenarioConfig",
     "TestLog",
@@ -39,6 +39,74 @@ __all__ = [
     "matched_t_prior",
     "oracle_hyperparams",
 ]
+
+
+@dataclass(frozen=True)
+class DiscretePmf:
+    """A finite discrete distribution over non-negative integer support."""
+
+    support: np.ndarray
+    mass: np.ndarray
+
+    def __post_init__(self) -> None:
+        support = np.asarray(self.support, dtype=np.int64)
+        mass = np.asarray(self.mass, dtype=float)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "mass", mass)
+        if support.shape != mass.shape or support.ndim != 1 or support.size == 0:
+            raise ValueError("support and mass must be equal-length 1-d arrays")
+        if np.any(np.diff(support) <= 0):
+            raise ValueError("support must be strictly increasing")
+        if np.any(mass < 0):
+            raise ValueError("probability mass must be non-negative")
+        if abs(float(mass.sum()) - 1.0) > 1e-12:
+            raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
+
+    def mean(self) -> float:
+        return float(np.dot(self.support, self.mass))
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        mass = self.mass / self.mass.sum()
+        return rng.choice(self.support, size=size, p=mass)
+
+
+def binomial_pmf(n: int, t: float) -> DiscretePmf:
+    """Binomial(n, t) as an explicit pmf over 0..n.
+
+    The mass is built in log space and normalised after subtracting its
+    maximum, so n in the tens of thousands neither overflows nor
+    underflows; t = 0 and t = 1 are exact point masses.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    support = np.arange(n + 1)
+    if t in (0.0, 1.0):
+        mass = (support == (0 if t == 0.0 else n)).astype(float)
+        return DiscretePmf(support, mass)
+    log_factorial = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)
+    log_mass = (
+        log_factorial[n]
+        - log_factorial
+        - log_factorial[::-1]
+        + support * log(t)
+        + (n - support) * log1p(-t)
+    )
+    mass = np.exp(log_mass - log_mass.max())
+    return DiscretePmf(support, mass / mass.sum())
+
+
+def size_biased_pmf(f: DiscretePmf) -> DiscretePmf:
+    """Reweight a size distribution proportionally to size: h(s) = s f(s) / E[S].
+
+    The mass at s = 0 becomes 0; a point mass at 0 has no size-biased
+    counterpart and is rejected.
+    """
+    mean = f.mean()
+    if mean <= 0.0:
+        raise ValueError("size-biased transform undefined: distribution has zero mean")
+    return DiscretePmf(f.support, f.support * f.mass / mean)
 
 
 class ScenarioInfeasibleError(RuntimeError):
@@ -219,7 +287,7 @@ def oracle_hyperparams(truth: GroundTruth, t_range: tuple[float, float]) -> Hype
     """
     a, b = matched_t_prior(t_range)
     m_weights = [
-        [np.array([int(n)]) for n, s in zip(n_row, s_row) if s >= 1]
+        [[int(n)] for n, s in zip(n_row, s_row) if s >= 1]
         for n_row, s_row in zip(truth.trials, truth.observed)
     ]
     return replace(flat_hyperparams(len(truth.trials)), a=a, b=b, m_weights=m_weights)

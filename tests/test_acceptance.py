@@ -3,6 +3,7 @@ single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_criterion_1_exact_posterior_oracle():
     exact /= exact.sum()
 
     start = time.time()
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     counts = np.zeros(len(support))
     burn, retained = 2_000, 100_000
     for it in range(burn + retained):
@@ -91,7 +92,7 @@ def test_criterion_2_conjugacy_equivalence():
     state = ChainState(
         S=[np.array([3])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([6])]
     )
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     mean_p = np.mean([gibbs_update_p(resolved, data, 0, rng, state.F) for _ in range(draws)])
     a, b = 7.0, 7.0
     se_p = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)) / draws)
@@ -104,7 +105,7 @@ def test_criterion_2_conjugacy_equivalence():
     state_t = ChainState(
         S=[np.array([3])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([10])]
     )
-    rng = np.random.default_rng(18)
+    rng = random.Random(18)
     mean_t = np.mean([gibbs_update_t(state_t, resolved_t, 0, 0, rng) for _ in range(draws)])
     at, bt = 5.0, 9.0
     se_t = math.sqrt(at * bt / ((at + bt) ** 2 * (at + bt + 1)) / draws)

@@ -806,9 +806,32 @@ class TestNonFinite:
         assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
 
 
+class TestMalformedDump:
+    """A draw dump that `predict --draws` cannot read exits 1 naming the
+    file, the line and the column."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("iteration,chain,phase,F\n1,0,1\n",
+             "{draws} line 2: the row has 3 fields and no column 'F'"),
+            ("iteration,chain,phase\n1,0,1\n", "{draws} line 1: missing required column 'F'"),
+            ("iteration,chain,phase,F\n1,0,1,3\n1,0,2,abc\n",
+             "{draws} line 3: column 'F' has non-numeric value 'abc'"),
+        ],
+        ids=["short-row", "no-F-column", "not-a-number"],
+    )
+    def test_exits_1(self, capsys, tmp_path, text, message):
+        draws = tmp_path / "draws.csv"
+        draws.write_text(text)
+        code, out, err = run_cli(capsys, "predict", "--totals", "3,2", "--draws", str(draws))
+        assert (code, out, err) == (1, "", f"error: {message.format(draws=draws)}\n")
+
+
 class TestNegativeSeed:
-    """numpy seeds only from non-negative integers; a negative seed exits 1
-    naming the flag or key, not with numpy's own message."""
+    """Seeds are non-negative integers: the simulator seeds numpy, which
+    accepts no negative integer, and one --seed feeds every command.  A
+    negative seed exits 1 naming the flag or key."""
 
     @pytest.mark.parametrize(
         "command", ["ingest", "fit", "predict", "decide", "baseline", "compare", "simulate"]
@@ -934,7 +957,7 @@ class TestImportHygiene:
             "--burn-in", "10", "--chains", "1", "--dump-draws", str(draws),
             "--out", str(report), "--quiet",
         ]
-        assert _modules_loaded(RUN_CLI, *fit) == (True, False)
+        assert _modules_loaded(RUN_CLI, *fit) == (False, False)
         predict = [
             "predict", "--from-report", str(report), "--epsilon", "1",
             "--out", str(tmp_path / "predict.json"), "--quiet",
@@ -944,6 +967,22 @@ class TestImportHygiene:
         assert _modules_loaded(RUN_CLI, *predict, "--bandwidth", "2.0") == (False, False)
         # cross-validation over the posterior draws uses numpy
         assert _modules_loaded(RUN_CLI, *predict, "--draws", str(draws)) == (True, False)
+
+    def test_fit_skips_numpy(self, sample_log, tmp_path):
+        # two chains, so the diagnostics run too
+        fit = [
+            "fit", "--data", str(sample_log), "--runs", "40,90", "--iterations", "60",
+            "--burn-in", "10", "--out", str(tmp_path / "fit.json"), "--quiet",
+        ]
+        assert _modules_loaded(RUN_CLI, *fit) == (False, False)
+        draws = tmp_path / "draws.csv"
+        assert _modules_loaded(RUN_CLI, *fit, "--dump-draws", str(draws)) == (False, False)
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(json.dumps({"a": [[1.0, 2.0, 1.5], [2.0]], "mu": [0.4, 0.6], "sigma2": [0.02, 0.01]}))
+        assert _modules_loaded(RUN_CLI, *fit, "--config", str(pinned)) == (False, False)
+        drawn = tmp_path / "drawn.json"
+        drawn.write_text(json.dumps({"hyper_seed": 5, "b": 2.0}))
+        assert _modules_loaded(RUN_CLI, *fit, "--config", str(drawn)) == (False, False)
 
     def test_every_export_resolves(self):
         for name in bugsize.__all__:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,18 +9,16 @@ from hypothesis import strategies as st
 from bugsize.ingest import PhaseSummary
 from bugsize.model import (
     ChainState,
-    DiscretePmf,
     InfeasiblePhaseError,
-    binomial_pmf,
     log_likelihood,
     log_posterior_S_kernel,
     resolve_for_data,
     sample_hyper,
     sample_n_trials,
-    size_biased_pmf,
     size_params,
     solve_beta_hyper,
 )
+from bugsize.simulator import DiscretePmf, binomial_pmf, size_biased_pmf
 
 
 class TestSizeBiased:
@@ -95,8 +94,9 @@ class TestSampleHyper:
     def test_variance_inside_support(self):
         for seed in range(25):
             hyper = sample_hyper(3, seed)
-            total = hyper.alpha_hat + hyper.beta_hat
-            mu = hyper.alpha_hat / total
+            alpha, beta = np.asarray(hyper.alpha_hat), np.asarray(hyper.beta_hat)
+            total = alpha + beta
+            mu = alpha / total
             sigma2 = mu * (1 - mu) / (total + 1)
             assert np.all(sigma2 < mu * (1 - mu))
             assert np.all(sigma2 > 0)
@@ -109,18 +109,18 @@ class TestSampleHyper:
 
 class TestSampleNTrials:
     def test_singleton(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert sample_n_trials([4], rng) == 4
 
     def test_proportional_frequencies(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         draws = np.array([sample_n_trials([1, 3], rng) for _ in range(100_000)])
         assert np.mean(draws == 1) == pytest.approx(0.25, abs=0.01)
         assert np.mean(draws == 3) == pytest.approx(0.75, abs=0.01)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            sample_n_trials([0, 0], np.random.default_rng(0))
+            sample_n_trials([0, 0], random.Random(0))
 
 
 class TestLogLikelihood:

@@ -1,11 +1,13 @@
 import hashlib
 import inspect
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, poisson
 
 import bugsize.sampler as sampler_mod
 from bugsize.ingest import PhaseSummary
@@ -21,7 +23,9 @@ from bugsize.model import (
 from bugsize.sampler import (
     ChainDiagnostics,
     InitializationError,
+    PosteriorSummary,
     SamplerConfig,
+    chain_rng,
     diagnostics,
     effective_sample_size,
     gibbs_update_p,
@@ -40,7 +44,7 @@ class RecordingRng:
     def __init__(self):
         self.calls = []
 
-    def beta(self, a, b):
+    def betavariate(self, a, b):
         self.calls.append((float(a), float(b)))
         return 0.5
 
@@ -100,13 +104,13 @@ def _reference_log_alpha(state, data, i, j, proposed, offset=0.0):
 
 def _reference_update(state, data, i, j, rng, offset=0.0):
     current = int(state.S[j][i])
-    proposed = int(rng.poisson(max(int(data[j].observed_sizes[i]), 1)))
+    proposed = sampler_mod.poisson(rng, max(int(data[j].observed_sizes[i]), 1))
     log_alpha = _reference_log_alpha(state, data, i, j, proposed, offset)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
         return current, False
-    if rng.uniform() < math.exp(log_alpha):
+    if rng.random() < math.exp(log_alpha):
         return proposed, True
     return current, False
 
@@ -130,7 +134,7 @@ class TestGibbsP:
         state = ChainState(
             S=[np.array([1])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([4])]
         )
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         draws = [gibbs_update_p(hyper, data, 0, rng, state.F) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(1 / 3, abs=0.005)
 
@@ -144,7 +148,7 @@ class TestGibbsP:
             n_trials=[np.array([6])] * 3,
         )
         with pytest.raises(ValueError, match="positive"):
-            gibbs_update_p(hyper, data, 2, np.random.default_rng(0), state.F)
+            gibbs_update_p(hyper, data, 2, random.Random(0), state.F)
 
 
 class TestGibbsT:
@@ -157,7 +161,7 @@ class TestGibbsT:
     def test_full_size_concentrates_near_one(self):
         data, hyper, state = _single_bug_setup(s=3, n=40)
         state.S[0][0] = 40
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         draws = [gibbs_update_t(state, hyper, 0, 0, rng) for _ in range(5000)]
         # Beta(41, 1) has mean 41/42
         assert np.mean(draws) == pytest.approx(41 / 42, abs=0.005)
@@ -173,7 +177,7 @@ class TestGibbsT:
         data, hyper, state = _single_bug_setup(s=3, n=10)
         state.S[0][0] = 11
         with pytest.raises(ValueError, match="exceeds"):
-            gibbs_update_t(state, hyper, 0, 0, np.random.default_rng(0))
+            gibbs_update_t(state, hyper, 0, 0, random.Random(0))
 
 
 class TestMetropolisStep:
@@ -229,7 +233,7 @@ class TestMetropolisStep:
         # scores each proposal by two full-kernel passes shifted by a constant
         data, _ = _three_phase_setup()
         fast_state, ref_state = _three_phase_state(), _three_phase_state()
-        fast_rng, ref_rng = np.random.default_rng(123), np.random.default_rng(123)
+        fast_rng, ref_rng = random.Random(123), random.Random(123)
         bugs = [(i, j) for j, summary in enumerate(data) for i in range(summary.distinct_bugs)]
         fast, ref = [], []
         for step in range(200):
@@ -247,7 +251,7 @@ class TestMetropolisStep:
 
         monkeypatch.setattr(sampler_mod, "log_posterior_S_kernel", forbidden)
         data, state = _three_phase_setup()
-        rng = np.random.default_rng(8)
+        rng = random.Random(8)
         for _ in range(20):
             for j, summary in enumerate(data):
                 for i in range(summary.distinct_bugs):
@@ -303,7 +307,7 @@ class TestMetropolisStep:
 class TestInitState:
     def test_starts_at_observed_sizes(self):
         data, hyper, _ = _single_bug_setup(s=3, n=10)
-        state = init_state(data, hyper, np.random.default_rng(0))
+        state = init_state(data, hyper, random.Random(0))
         assert state.S[0] == [3]
         assert state.n_trials[0] == [10]
         assert state.t[0][0] == pytest.approx(0.5)
@@ -319,7 +323,7 @@ class TestInitState:
         hyper = flat_hyperparams(3)
         hyper.m_weights = [[np.array([5])], [np.array([6])], [np.array([9])]]
         resolved = resolve_for_data(hyper, data)
-        state = init_state(data, resolved, np.random.default_rng(0))
+        state = init_state(data, resolved, random.Random(0))
         assert state.S[0] == [5]
         assert state.S[1] == [6]
         assert state.S[2][0] == 6  # raised from 2 until r_3 = 1
@@ -335,7 +339,7 @@ class TestInitState:
         hyper.m_weights = [[np.array([5])], [np.array([6])], [np.array([3])]]
         resolved = resolve_for_data(hyper, data)
         with pytest.raises(InitializationError, match="phase 3"):
-            init_state(data, resolved, np.random.default_rng(0))
+            init_state(data, resolved, random.Random(0))
 
     def test_trial_count_below_observed_fails(self):
         data = [PhaseSummary(1, 10, {1: 5})]
@@ -343,7 +347,21 @@ class TestInitState:
         hyper.m_weights = [[np.array([3])]]
         resolved = resolve_for_data(hyper, data)
         with pytest.raises(InitializationError, match="below the observed size"):
-            init_state(data, resolved, np.random.default_rng(0))
+            init_state(data, resolved, random.Random(0))
+
+    def test_repair_breaks_slack_ties_by_lower_index(self):
+        # phase 3 starts at (1, 1) against phase 1's total 5: r_3 = -3 needs
+        # 4 more, and both bugs have slack 4; the lower index takes it all
+        data = [
+            PhaseSummary(1, 10, {1: 5}),
+            PhaseSummary(2, 20, {2: 6}),
+            PhaseSummary(3, 30, {3: 1, 4: 1}),
+        ]
+        hyper = flat_hyperparams(3)
+        hyper.m_weights = [[[5]], [[6]], [[5], [5]]]
+        state = init_state(data, resolve_for_data(hyper, data), random.Random(0))
+        assert state.S[2] == [5, 1]
+        assert size_params(state.F) == [5, 6, 1]
 
     def test_state_and_priors_are_plain_python(self):
         # numpy rows in, Python numbers out: per-bug priors given as arrays,
@@ -362,7 +380,7 @@ class TestInitState:
 
         for hyper in (given, sample_hyper(2, 3)):
             resolved = resolve_for_data(hyper, data)
-            state = init_state(data, resolved, np.random.default_rng(0))
+            state = init_state(data, resolved, random.Random(0))
             for field in (resolved.a, resolved.b, state.t, state.p):
                 assert kinds(field) == {float}
             for field in (resolved.m_weights, state.S, state.n_trials):
@@ -387,19 +405,19 @@ class TestRunChain:
         hyper.m_weights = [[np.array([2]), np.array([3])]]
         config = SamplerConfig(chains=2, iterations=100, burn_in=10, seed=3)
         posterior = run_chain(data, hyper, config)
-        assert np.all(posterior.F_draws == 5.0)
+        assert np.all(np.asarray(posterior.F_draws) == 5.0)
 
     def test_retained_count(self):
         config = SamplerConfig(chains=1, iterations=103, burn_in=20, thin=7, seed=1)
         posterior = run_chain(_small_data(), flat_hyperparams(2), config)
-        assert posterior.draws.shape == (1, config.n_retained, 2)
+        assert np.shape(posterior.draws) == (1, config.n_retained, 2)
         assert config.n_retained == 12
 
     def test_acceptance_rates_in_unit_interval(self):
         config = SamplerConfig(chains=2, iterations=200, burn_in=50, seed=9)
         posterior = run_chain(_small_data(), flat_hyperparams(2), config)
         for row in posterior.acceptance:
-            assert np.all(row >= 0) and np.all(row <= 1)
+            assert np.all(np.asarray(row) >= 0) and np.all(np.asarray(row) <= 1)
         assert 0.0 <= posterior.acceptance_rate_mean <= 1.0
 
     def test_carried_totals_match_state_after_every_update(self, monkeypatch):
@@ -449,9 +467,37 @@ class TestRunChain:
         ]
         config = SamplerConfig(chains=2, iterations=300, burn_in=60, thin=2, seed=2024)
         posterior = run_chain(data, sample_hyper(3, 5), config)
-        digest = hashlib.sha256(posterior.draws.tobytes()).hexdigest()
-        assert digest == "813097a988912222a6d887ae241d9f2e2dd9b54391ec0d8e60ab40a70f0172bc"
-        assert posterior.acceptance_rate_mean == 0.2325
+        digest = hashlib.sha256(repr(posterior.draws).encode()).hexdigest()
+        assert digest == "2f0da7ed54b27c1abbe37781115a3dedf813816d4a673af1f9340dbe67c542b1"
+        assert posterior.acceptance_rate_mean == 0.22283333333333336
+
+    def test_chains_draw_from_their_own_streams(self):
+        # chain c's draws do not depend on how many chains run beside it
+        data = _small_data()
+        one = run_chain(data, flat_hyperparams(2), SamplerConfig(chains=1, iterations=120, burn_in=20, seed=4))
+        three = run_chain(data, flat_hyperparams(2), SamplerConfig(chains=3, iterations=120, burn_in=20, seed=4))
+        assert three.draws[0] == one.draws[0]
+        assert three.draws[1] != three.draws[0] and three.draws[2] != three.draws[1]
+        other = run_chain(data, flat_hyperparams(2), SamplerConfig(chains=1, iterations=120, burn_in=20, seed=5))
+        assert other.draws[0] != one.draws[0]
+
+    def test_chains_and_hyperprior_use_distinct_streams(self, monkeypatch):
+        seeds = []
+
+        class Recording(random.Random):
+            def __init__(self, x=None):
+                seeds.append(x)
+                super().__init__(x)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        hyper = sample_hyper(2, 11)
+        run_chain(_small_data(), hyper, SamplerConfig(chains=3, iterations=20, burn_in=5, seed=11))
+        assert len(seeds) == 4 and len(set(seeds)) == 4
+        assert seeds[1:] == [f"bugsize chain 11 {c}" for c in range(3)]
+        monkeypatch.undo()
+        streams = {tuple(random.Random(seed).random() for _ in range(3)) for seed in seeds}
+        assert len(streams) == 4
+        assert chain_rng(11, 2).random() == random.Random(seeds[3]).random()
 
     def test_nonincreasing_runs_rejected(self):
         data = [PhaseSummary(1, 30, {1: 2}), PhaseSummary(2, 30, {2: 3})]
@@ -492,3 +538,94 @@ class TestDiagnostics:
         results = diagnostics(rng.normal(size=(2, 100, 3)))
         assert len(results) == 3
         assert all(isinstance(r, ChainDiagnostics) for r in results)
+
+
+@pytest.mark.parametrize("lam", [1, 9, 10, 60, 5000])
+def test_poisson_matches_exact_law(lam):
+    # numpy's two methods meet at lam = 10: multiplication below, PTRS from
+    # there.  Chi-square over cells of about 2% exact mass each; the gate,
+    # p-value above 0.001, was fixed before the first run.
+    size = 50_000
+    rng = random.Random(lam)
+    draws = np.array([sampler_mod.poisson(rng, lam) for _ in range(size)])
+    cuts = np.unique(poisson.ppf(np.linspace(0.02, 0.98, 49), lam))
+    upper = np.concatenate((cuts, [np.inf]))
+    observed = np.histogram(draws, np.concatenate(([-0.5], cuts + 0.5, [np.inf])))[0]
+    expected = size * np.diff(np.concatenate(([0.0], poisson.cdf(upper, lam))))
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert draws.min() >= 0
+    assert chi2.sf(statistic, len(observed) - 1) > 1e-3
+
+
+def _reference_split_r_hat(draws):
+    """The numpy split R-hat the sampler computed before it was pure Python."""
+    chains, n = draws.shape
+    half = n // 2
+    split = np.concatenate([draws[:, :half], draws[:, half : 2 * half]], axis=0)
+    within = float(np.mean(np.var(split, axis=1, ddof=1)))
+    between_over_n = float(np.var(split.mean(axis=1), ddof=1))
+    if within == 0.0:
+        return 1.0, True
+    return float(math.sqrt(((half - 1) / half * within + between_over_n) / within)), False
+
+
+def _reference_ess(draws):
+    """The numpy effective sample size, from full np.correlate autocovariances."""
+    chains, n = draws.shape
+    total = chains * n
+    if np.all(draws.var(axis=1, ddof=1) == 0.0):
+        return float(total)
+    acov = np.zeros(n)
+    for chain in draws:
+        centered = chain - chain.mean()
+        acov += np.correlate(centered, centered, mode="full")[n - 1 :] / n
+    acov /= chains
+    if acov[0] <= 0.0:
+        return float(total)
+    rho = acov / acov[0]
+    tail = 0.0
+    for k in range(1, n - 1, 2):
+        pair = rho[k] + rho[k + 1] if k + 1 < n else rho[k]
+        if pair < 0.0:
+            break
+        tail += pair
+    return float(min(max(total / (1.0 + 2.0 * tail), 1.0), total))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("chains, n", [(2, 40), (3, 301), (4, 1000)])
+def test_diagnostics_match_numpy_reference(phi, chains, n):
+    rng = np.random.default_rng(int(phi * 100) + 7 * chains + n)
+    draws = np.empty((chains, n))
+    draws[:, 0] = rng.normal(size=chains) * 3.0
+    for k in range(1, n):
+        draws[:, k] = phi * draws[:, k - 1] + rng.normal(size=chains)
+    draws += 50.0
+    r_hat, degenerate = split_r_hat(draws.tolist())
+    ref_r_hat, ref_degenerate = _reference_split_r_hat(draws)
+    assert degenerate == ref_degenerate
+    assert r_hat == pytest.approx(ref_r_hat, rel=1e-9)
+    assert effective_sample_size(draws.tolist()) == pytest.approx(_reference_ess(draws), rel=1e-9)
+
+
+def test_constant_draws_keep_the_reference_figures():
+    draws = [[7] * 30, [7] * 30]
+    assert split_r_hat(draws) == _reference_split_r_hat(np.array(draws, dtype=float))
+    assert effective_sample_size(draws) == _reference_ess(np.array(draws, dtype=float)) == 60.0
+    (result,) = diagnostics(draws)
+    assert result.degenerate and result.r_hat == 1.0
+
+
+@pytest.mark.parametrize("retained", [1, 2, 37, 400])
+def test_summaries_follow_numpy_definitions(retained):
+    rng = np.random.default_rng(retained)
+    draws = rng.integers(1, 30_000, size=(2, retained, 3))
+    posterior = PosteriorSummary(
+        draws=draws.tolist(), acceptance=[[0.5]], diagnostics=None,
+        chains=2, iterations=retained, burn_in=0, thin=1, seed=0,
+    )
+    pooled = draws.reshape(-1, 3).astype(float)
+    assert posterior.F_mean == pooled.mean(axis=0).tolist()
+    assert posterior.F_median == np.median(pooled, axis=0).tolist()
+    low, high = np.quantile(pooled, [0.025, 0.975], axis=0)
+    assert posterior.F_ci == (low.tolist(), high.tolist())

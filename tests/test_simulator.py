@@ -4,14 +4,15 @@ import pytest
 from scipy.stats import binom
 
 from bugsize.ingest import summarize_phases
-from bugsize.model import binomial_pmf, size_biased_pmf
 from bugsize.simulator import (
     ScenarioConfig,
     ScenarioInfeasibleError,
+    binomial_pmf,
     default_scenario,
     generate,
     matched_t_prior,
     oracle_hyperparams,
+    size_biased_pmf,
 )
 
 
@@ -177,7 +178,7 @@ def test_oracle_hyperparams_pin_logged_bugs():
     summaries = summarize_phases(log.records, log.runs_per_phase)
     hyper = oracle_hyperparams(truth, config.t_range)
     assert (hyper.a, hyper.b) == matched_t_prior(config.t_range)
-    assert hyper.alpha_hat.tolist() == [1.0, 1.0] and hyper.beta_hat.tolist() == [1.0, 1.0]
+    assert hyper.alpha_hat == [1.0, 1.0] and hyper.beta_hat == [1.0, 1.0]
     for summary, row, n_row, s_row in zip(summaries, hyper.m_weights, truth.trials, truth.observed):
         assert len(row) == summary.distinct_bugs
-        assert [w.tolist() for w in row] == [[n] for n, s in zip(n_row, s_row) if s >= 1]
+        assert row == [[n] for n, s in zip(n_row, s_row) if s >= 1]
