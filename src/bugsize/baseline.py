@@ -15,10 +15,9 @@ error of the predicted remaining total size.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass, replace
-from math import lgamma, log
-
-import numpy as np
+from math import fsum, lgamma, log
 
 from .ingest import summarize_phases
 from .model import flat_hyperparams  # noqa: F401 -- not called: bench/run.py traces this name
@@ -251,18 +250,19 @@ def compare_models(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     comparison = comparison or ComparisonConfig()
-    trial_seeds = np.random.SeedSequence(seed).spawn(trials)
 
     errors_sized, errors_base, truths = [], [], []
     skipped = 0
-    for child in trial_seeds:
-        trial_seed = int(child.generate_state(1, dtype=np.uint64)[0])
+    for i in range(trials):
+        # a 64-bit seed from the trial's own stream; it seeds both the
+        # trial's scenario and its chain
+        trial_seed = random.Random(f"bugsize compare {seed} {i}").getrandbits(64)
         trial_scenario = replace(scenario, seed=trial_seed)
         try:
             log, truth = generate(trial_scenario)
             summaries = summarize_phases(log.records, log.runs_per_phase)
             observed_total = sum(s.observed_total for s in summaries)
-            truth_remaining = float(truth.per_phase_totals.sum()) - observed_total
+            truth_remaining = fsum(truth.per_phase_totals) - observed_total
 
             config = SamplerConfig(
                 chains=comparison.chains,
@@ -273,9 +273,9 @@ def compare_models(
             )
             hyper = oracle_hyperparams(truth, trial_scenario.t_range)
             posterior = run_chain(summaries, hyper, config)
-            predicted_sized = sum(posterior.F_mean) - observed_total
+            predicted_sized = fsum(posterior.F_mean) - observed_total
 
-            n_total = int(sum(trial_scenario.bugs_per_phase))
+            n_total = sum(trial_scenario.bugs_per_phase)
             state = initial_state(n_total, comparison.p0)
             detected = 0
             for summary in summaries:
@@ -299,16 +299,19 @@ def compare_models(
     if not errors_sized:
         raise RuntimeError("every comparison trial was skipped")
 
-    # Relative MSE: mean squared error over the mean squared truth.
-    truth_scale = float(np.mean(np.square(truths)))
+    # Relative MSE: mean squared error over the mean squared truth.  The
+    # means are exactly rounded sums (fsum), so the report does not depend
+    # on how an interpreter's built-in sum adds floats.
+    scored = len(errors_sized)
+    truth_scale = fsum(truth * truth for truth in truths) / scored
     if truth_scale == 0.0:
         truth_scale = 1.0
     return ComparisonReport(
         trials=trials,
-        scored_trials=len(errors_sized),
+        scored_trials=scored,
         skipped_trials=skipped,
         win_fraction=_wins(errors_sized, errors_base),
-        relative_mse_size_biased=float(np.mean(errors_sized)) / truth_scale,
-        relative_mse_baseline=float(np.mean(errors_base)) / truth_scale,
+        relative_mse_size_biased=fsum(errors_sized) / scored / truth_scale,
+        relative_mse_baseline=fsum(errors_base) / scored / truth_scale,
         seed=seed,
     )

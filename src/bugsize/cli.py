@@ -174,7 +174,8 @@ def _finite(value, what: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """The --seed type: numpy's seeding accepts no negative integer."""
+    """The --seed type.  A seed is a non-negative integer, for every command
+    and for the `seed` and `hyper_seed` config keys alike."""
     try:
         seed = int(text)
     except ValueError:

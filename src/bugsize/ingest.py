@@ -19,6 +19,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -123,10 +124,11 @@ def _csv_errors(reader):
 
 def _table(
     lines: list[str], required: tuple[str, ...], optional: tuple[str, ...]
-) -> tuple[Iterator[list[str]], list[int]]:
+) -> tuple[Iterator[list[str]], list[int], int]:
     """Read a table's header by the rules above.  Returns the csv reader,
-    positioned after the header, and each of the `required`, then the
-    `optional`, columns' index in a row (-1 where the table has none)."""
+    positioned after the header, each of the `required`, then the
+    `optional`, columns' index in a row (-1 where the table has none), and
+    the number of columns the header names."""
     first = next((line for line in lines if line.strip()), "")
     reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
     with _csv_errors(reader):
@@ -138,7 +140,7 @@ def _table(
                 if column not in names:
                     raise SchemaError(f"missing required column '{column}'")
             index = [names.index(name) if name in names else -1 for name in required + optional]
-            return reader, index
+            return reader, index, len(names)
     raise SchemaError("input has no header row")
 
 
@@ -157,7 +159,7 @@ def _rows(
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line, cells)` for each non-blank data row of a table, with
     `cells` as `_cells` gives them."""
-    reader, index = _table(lines, required, optional)
+    reader, index, _ = _table(lines, required, optional)
     with _csv_errors(reader):
         for row in reader:
             if not _blank(row):
@@ -210,6 +212,30 @@ def _input_row(line_no: int, cells: list[str], count: int) -> tuple[int, TestLog
     return cycle, _record(line_no, cycle, defect_id, count, cells[2:])
 
 
+def _counted_rows(
+    lines: list[str], reader, index: list[int], width: int
+) -> tuple[Counter, list[int]]:
+    """Count a per-input table's data rows by the cells the parse reads, so
+    that rows differing only in other columns count once.  Returns the
+    counts and `index` remapped into a counted key.
+
+    A table whose header names only columns the parse reads is counted by
+    whole rows, which is the same count made faster.  Otherwise empty lines
+    are dropped and rows are keyed by the cells read.  A short row cannot
+    be keyed, and a key whose cells are all blank may stand for a row with
+    content in other columns; with either, whole rows are counted."""
+    read = [i for i in index if i >= 0]
+    if len(read) < width:
+        try:
+            counts = Counter(map(itemgetter(*read), filter(None, reader)))
+        except IndexError:
+            counts = None
+        if counts is not None and not any(map(_blank, counts)):
+            return counts, [read.index(i) if i >= 0 else -1 for i in index]
+        reader, index, _ = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
+    return Counter(map(tuple, reader)), index
+
+
 def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     """Parse a raw per-input log (one row per executed test input).
 
@@ -218,18 +244,20 @@ def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     including "no run"-style rows, which are treated as plain non-defect
     rows. Returns the defect records plus per-cycle run counts.
 
-    Identical rows are counted before any is parsed, so the parsing cost
-    grows with the number of distinct rows, not of rows: each distinct
-    defect row gives one record, in first-appearance order, whose size is
-    the row's count.  A bad row is reported at the first physical line
-    that holds it.
+    Rows that agree in the columns the parse reads (`cycle`, `defect_id`,
+    `defect_header`, `severity`) are counted before any is parsed, so the
+    parsing cost grows with the number of distinct such rows, not of rows:
+    each distinct defect row gives one record, in first-appearance order,
+    whose size is the row's count.  A bad row is reported at the first
+    physical line that holds it.
     """
     lines = _lines(source)
-    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
+    reader, index, width = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
     records = []
     run_counts: dict[int, int] = {}
     try:
-        for row, count in Counter(map(tuple, reader)).items():
+        counts, index = _counted_rows(lines, reader, index, width)
+        for row, count in counts.items():
             if _blank(row):
                 continue
             # line 0 stands in until the error path below finds the line

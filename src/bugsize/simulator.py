@@ -12,24 +12,44 @@ s C(n, s) t^s (1-t)^(n-s) / (n t) = C(n-1, s-1) t^(s-1) (1-t)^(n-s).
 One draw costs the same at n = 40 000 as at n = 10, where building the
 pmf would cost O(n).  `binomial_pmf` and `size_biased_pmf` build both
 laws as explicit pmfs (`DiscretePmf`); the tests check the identity
-against them.  They live here, with numpy, so that the fit path
-(`model`, `sampler`) needs only the standard library.
+against them.  Only they use numpy, imported when they run, so that
+generating a scenario needs only the standard library.
+
+Random source.  A scenario seeded with ``seed`` draws from its own
+``random.Random``, seeded with a string that names the scenario and
+``seed``, so it shares no stream with a chain (``sampler.chain_rng``) or
+the hyperprior draw.  Trial counts come from ``randint`` and detection
+rates from ``uniform``.  Binomial draws (`binomial`) port CPython 3.12's
+``random.binomialvariate``, so that every supported interpreter draws the
+same stream: p > 0.5 by symmetry, Devroye's geometric method below
+n p = 10 and, from there, the transformed rejection method BTRS (Hörmann
+1993, *The generation of binomial random variates*, J. Statist. Comput.
+Simul. 46).  A negative-binomial run increment (`negative_binomial`) is
+numpy's gamma-Poisson mixture: lam ~ Gamma(r, p / (1 - p)), then a
+Poisson(lam) draw by ``sampler.poisson``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
-from math import lgamma, log, log1p
-
-import numpy as np
+from itertools import accumulate
+from math import fabs, floor, lgamma, log, log1p, log2, sqrt
+from typing import TYPE_CHECKING
 
 from .ingest import TestLogRecord
 from .model import Hyperparams, flat_hyperparams, size_params, solve_beta_hyper
+from .sampler import poisson
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscretePmf",
     "binomial_pmf",
     "size_biased_pmf",
+    "binomial",
+    "negative_binomial",
     "ScenarioInfeasibleError",
     "ScenarioConfig",
     "TestLog",
@@ -49,6 +69,8 @@ class DiscretePmf:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         support = np.asarray(self.support, dtype=np.int64)
         mass = np.asarray(self.mass, dtype=float)
         object.__setattr__(self, "support", support)
@@ -63,7 +85,7 @@ class DiscretePmf:
             raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.mass))
+        return float(self.support @ self.mass)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         mass = self.mass / self.mass.sum()
@@ -77,6 +99,8 @@ def binomial_pmf(n: int, t: float) -> DiscretePmf:
     maximum, so n in the tens of thousands neither overflows nor
     underflows; t = 0 and t = 1 are exact point masses.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= t <= 1.0:
@@ -107,6 +131,66 @@ def size_biased_pmf(f: DiscretePmf) -> DiscretePmf:
     if mean <= 0.0:
         raise ValueError("size-biased transform undefined: distribution has zero mean")
     return DiscretePmf(f.support, f.support * f.mass / mean)
+
+
+def binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, n >= 0 and 0 <= p <= 1.
+
+    The draws are those of CPython 3.12's ``binomialvariate(n, p)`` on the
+    same stream, with one exception: a uniform of exactly 0, on which 3.12
+    divides by zero or takes log(0), is handled as the limit.  The
+    geometric method stops, BTRS draws again (as ``sampler.poisson`` does)
+    and its acceptance test passes.
+    """
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    if n == 1:
+        return int(rng.random() < p)
+    if p > 0.5:
+        return n - binomial(rng, n, 1.0 - p)
+
+    if n * p < 10.0:
+        # Devroye's geometric method: O(n p) uniforms, one per success
+        x = y = 0
+        c = log2(1.0 - p)
+        if not c:  # 1 - p rounds to 1
+            return x
+        while True:
+            u = rng.random()
+            if u == 0.0:  # an infinite gap: no further success
+                return x
+            y += floor(log2(u) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    # BTRS
+    spq = sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = log(p / (1.0 - p))
+    m = floor((n + 1) * p)  # the mode
+    h = lgamma(m + 1) + lgamma(n - m + 1)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - fabs(u)
+        if us == 0.0:  # u = -0.5 sends k to -inf
+            continue
+        k = floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        # log(0) = -inf always accepts
+        if v == 0.0 or log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+            return k
 
 
 class ScenarioInfeasibleError(RuntimeError):
@@ -152,39 +236,47 @@ class TestLog:
     runs_per_phase: list[int]
 
 
+def negative_binomial(rng: random.Random, r: float, p: float) -> int:
+    """One draw N of the run-count law, P(N = k) = C(k + r - 1, k) p^k (1 - p)^r,
+    r > 0 and 0 < p < 1: numpy's ``negative_binomial(r, 1 - p)``, drawn as
+    numpy draws it, a Poisson(lam) count with lam ~ Gamma(r, p / (1 - p))."""
+    return poisson(rng, rng.gammavariate(r, p / (1.0 - p)))
+
+
 @dataclass(frozen=True)
 class GroundTruth:
-    eventual: list[np.ndarray]  # S_ij
-    observed: list[np.ndarray]  # s_ij, zeros kept for unobserved bugs
-    trials: list[np.ndarray]  # n_ij
-    detect_rate: list[np.ndarray]  # t_ij
-    p: np.ndarray
+    eventual: list[list[int]]  # S_ij
+    observed: list[list[int]]  # s_ij, zeros kept for unobserved bugs
+    trials: list[list[int]]  # n_ij
+    detect_rate: list[list[float]]  # t_ij
+    p: list[float]
     runs_per_phase: list[int]
     runs_cumulative: list[int]
-    per_phase_totals: np.ndarray  # sums of eventual sizes by phase
+    per_phase_totals: list[float]  # sums of eventual sizes by phase
 
     def as_doc(self) -> dict:
         return {
-            "eventual_sizes": [row.tolist() for row in self.eventual],
-            "observed_sizes": [row.tolist() for row in self.observed],
-            "trial_counts": [row.tolist() for row in self.trials],
-            "detect_rates": [row.tolist() for row in self.detect_rate],
-            "p_true": self.p.tolist(),
+            "eventual_sizes": [list(row) for row in self.eventual],
+            "observed_sizes": [list(row) for row in self.observed],
+            "trial_counts": [list(row) for row in self.trials],
+            "detect_rates": [list(row) for row in self.detect_rate],
+            "p_true": list(self.p),
             "runs_per_phase": list(self.runs_per_phase),
             "runs_cumulative": list(self.runs_cumulative),
-            "per_phase_totals": self.per_phase_totals.tolist(),
+            "per_phase_totals": list(self.per_phase_totals),
         }
 
 
-def _draw_latents(config: ScenarioConfig, rng: np.random.Generator):
+def _draw_latents(config: ScenarioConfig, rng: random.Random):
     lo, hi = config.n_trials_range
     t_lo, t_hi = config.t_range
     trials, rates, eventual = [], [], []
     for bugs in config.bugs_per_phase:
-        n_row = rng.integers(lo, hi + 1, size=bugs)
-        t_row = rng.uniform(t_lo, t_hi, size=bugs)
-        S_row = 1 + rng.binomial(n_row - 1, t_row)  # size-biased Binomial(n, t)
-        trials.append(n_row.astype(np.int64))
+        n_row = [rng.randint(lo, hi) for _ in range(bugs)]
+        t_row = [rng.uniform(t_lo, t_hi) for _ in range(bugs)]
+        # size-biased Binomial(n, t)
+        S_row = [1 + binomial(rng, n - 1, t) for n, t in zip(n_row, t_row)]
+        trials.append(n_row)
         rates.append(t_row)
         eventual.append(S_row)
     return trials, rates, eventual
@@ -197,10 +289,10 @@ def generate(config: ScenarioConfig) -> tuple[TestLog, GroundTruth]:
     negative-binomial size parameter is positive, matching the support
     of the likelihood.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = random.Random(f"bugsize scenario {config.seed}")
     for _ in range(config.max_retries):
         trials, rates, eventual = _draw_latents(config, rng)
-        r = size_params([int(row.sum()) for row in eventual])
+        r = size_params([sum(row) for row in eventual])
         if min(r) > 0:
             break
     else:
@@ -212,24 +304,21 @@ def generate(config: ScenarioConfig) -> tuple[TestLog, GroundTruth]:
     runs_per_phase = []
     for r_k, p_k in zip(r, config.p_true):
         # NB can draw 0 runs; cumulative run counts must strictly increase.
-        increment = int(rng.negative_binomial(float(r_k), 1.0 - p_k))
-        runs_per_phase.append(max(increment, 1))
-    runs_cumulative = list(np.cumsum(runs_per_phase))
+        runs_per_phase.append(max(negative_binomial(rng, r_k, p_k), 1))
+    runs_cumulative = list(accumulate(runs_per_phase))
 
     observed = []
     records = []
     defect_id = 0
     for j, (S_row, N_j) in enumerate(zip(eventual, runs_cumulative), start=1):
         exposure = N_j / (N_j + config.exposure_offset)
-        s_row = rng.binomial(S_row, exposure).astype(np.int64)
+        s_row = [binomial(rng, S, exposure) for S in S_row]
         observed.append(s_row)
-        for i, s in enumerate(s_row):
+        for s in s_row:
             defect_id += 1
             if s >= 1:
                 records.append(
-                    TestLogRecord(
-                        cycle=j, defect_header=defect_id, defect_id=defect_id, size=int(s)
-                    )
+                    TestLogRecord(cycle=j, defect_header=defect_id, defect_id=defect_id, size=s)
                 )
 
     truth = GroundTruth(
@@ -237,10 +326,10 @@ def generate(config: ScenarioConfig) -> tuple[TestLog, GroundTruth]:
         observed=observed,
         trials=trials,
         detect_rate=rates,
-        p=np.array(config.p_true),
+        p=[float(p) for p in config.p_true],
         runs_per_phase=runs_per_phase,
-        runs_cumulative=[int(n) for n in runs_cumulative],
-        per_phase_totals=np.array([float(row.sum()) for row in eventual]),
+        runs_cumulative=runs_cumulative,
+        per_phase_totals=[float(sum(row)) for row in eventual],
     )
     return TestLog(records=records, runs_per_phase=runs_per_phase), truth
 
@@ -287,7 +376,7 @@ def oracle_hyperparams(truth: GroundTruth, t_range: tuple[float, float]) -> Hype
     """
     a, b = matched_t_prior(t_range)
     m_weights = [
-        [[int(n)] for n, s in zip(n_row, s_row) if s >= 1]
+        [[n] for n, s in zip(n_row, s_row) if s >= 1]
         for n_row, s_row in zip(truth.trials, truth.observed)
     ]
     return replace(flat_hyperparams(len(truth.trials)), a=a, b=b, m_weights=m_weights)

@@ -18,7 +18,7 @@ from bugsize.baseline import (
     phase_log_evidence,
     posterior_remaining,
 )
-from bugsize.simulator import default_scenario
+from bugsize.simulator import default_scenario, generate
 
 
 def detection(counts, q_detect):
@@ -181,6 +181,26 @@ class TestCompareModels:
         report_a = compare_models(default_scenario(0), trials=4, seed=13)
         report_b = compare_models(default_scenario(0), trials=4, seed=13)
         assert report_a == report_b
+
+    def test_trials_draw_distinct_scenario_seeds(self, monkeypatch):
+        import bugsize.baseline as baseline_mod
+
+        def seeds_of(seed):
+            seeds = []
+
+            def recording(config):
+                seeds.append(config.seed)
+                return generate(config)
+
+            monkeypatch.setattr(baseline_mod, "generate", recording)
+            quick = ComparisonConfig(iterations=40, burn_in=10)
+            compare_models(default_scenario(0), trials=3, seed=seed, comparison=quick)
+            return seeds
+
+        seeds = seeds_of(13)
+        assert len(set(seeds)) == 3 and all(0 <= s < 2**64 for s in seeds)
+        assert seeds_of(13) == seeds
+        assert not set(seeds_of(14)) & set(seeds)
 
     def test_report_fields_sane(self):
         report = compare_models(default_scenario(0), trials=6, seed=5)

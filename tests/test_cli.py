@@ -829,9 +829,9 @@ class TestMalformedDump:
 
 
 class TestNegativeSeed:
-    """Seeds are non-negative integers: the simulator seeds numpy, which
-    accepts no negative integer, and one --seed feeds every command.  A
-    negative seed exits 1 naming the flag or key."""
+    """Seeds are non-negative integers, for --seed and for the `seed` and
+    `hyper_seed` keys alike.  A negative seed exits 1 naming the flag or
+    key."""
 
     @pytest.mark.parametrize(
         "command", ["ingest", "fit", "predict", "decide", "baseline", "compare", "simulate"]
@@ -948,7 +948,20 @@ class TestImportHygiene:
             argv = ["simulate", "--out", str(tmp_path / "log.csv"), "--quiet"]
         else:
             argv = ["compare", "--trials", "1", "--out", str(tmp_path / "report.json"), "--quiet"]
-        assert _modules_loaded(RUN_CLI, *argv) == (True, False)
+        assert _modules_loaded(RUN_CLI, *argv) == (False, False)
+
+    def test_baseline_skips_numpy(self, tmp_path):
+        detections = tmp_path / "detections.csv"
+        detections.write_text("phase,class,count\n1,1,5\n")
+        config = tmp_path / "baseline-config.json"
+        config.write_text(
+            '{"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [{"q_detect": [0.5], "q_none": 0.5}]}'
+        )
+        argv = [
+            "baseline", "--detections", str(detections), "--config", str(config),
+            "--out", str(tmp_path / "report.json"), "--quiet",
+        ]
+        assert _modules_loaded(RUN_CLI, *argv) == (False, False)
 
     def test_fit_and_predict_skip_scipy(self, sample_log, tmp_path):
         report, draws = tmp_path / "fit.json", tmp_path / "draws.csv"

@@ -177,6 +177,24 @@ def test_per_input_log_counts_runs_and_sizes():
     assert summaries[1].sizes_by_defect == {9: 1}
 
 
+def test_unique_input_column_gives_the_same_records():
+    # every row of the second log is distinct, but only the columns the
+    # parse reads are counted
+    rows = ["1,7", "1,", "1,7", "2,", "2,9", "2,", "1,7"]
+    plain = "cycle,defect_id\n" + "\n".join(rows) + "\n\n"
+    unique = "cycle,defect_id,input_id\n" + "\n".join(
+        f"{row},{i}" for i, row in enumerate(rows)
+    ) + "\n\n"
+    records, runs = parse_input_log(plain.encode())
+    assert (records, runs) == ([LogRecord(1, 0, 7, 3), LogRecord(2, 0, 9, 1)], [4, 3])
+    assert parse_input_log(unique.encode()) == (records, runs)
+    # a whitespace line is short, so whole rows are counted: one record per
+    # distinct row, and the same phase summaries
+    records, runs = parse_input_log((unique + "   \n").encode())
+    assert len(records) == 4 and runs == [4, 3]
+    assert summarize_phases(records, runs) == summarize_phases(*parse_input_log(plain.encode()))
+
+
 def test_phase_summary_doc_schema():
     summaries = summarize_phases(parse_test_log(SAMPLE_LOG.encode()), SYNTHETIC_RUNS)
     doc = phase_summary_doc(summaries)

@@ -1,16 +1,21 @@
 
+import json
+import random
+
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, chi2, nbinom
 
 from bugsize.ingest import summarize_phases
 from bugsize.simulator import (
     ScenarioConfig,
     ScenarioInfeasibleError,
+    binomial,
     binomial_pmf,
     default_scenario,
     generate,
     matched_t_prior,
+    negative_binomial,
     oracle_hyperparams,
     size_biased_pmf,
 )
@@ -39,13 +44,23 @@ class TestGenerate:
         assert all(
             np.array_equal(x, y) for x, y in zip(truth_a.eventual, truth_b.eventual)
         )
+        assert truth_a.as_doc() == truth_b.as_doc()
+        assert generate(small_scenario(4))[1].as_doc() != truth_a.as_doc()
+
+    def test_truth_document_keeps_value_types(self):
+        doc = json.loads(json.dumps(generate(small_scenario(3))[1].as_doc()))
+        for key in ("eventual_sizes", "observed_sizes", "trial_counts"):
+            assert all(type(v) is int for row in doc[key] for v in row)
+        assert all(type(v) is float for row in doc["detect_rates"] for v in row)
+        assert all(type(v) is float for v in doc["p_true"] + doc["per_phase_totals"])
+        assert all(type(v) is int for v in doc["runs_per_phase"] + doc["runs_cumulative"])
 
     def test_degenerate_detection_rate_pins_sizes(self):
         config = small_scenario(1, t_range=(1.0, 1.0), n_trials_range=(7, 7))
         _, truth = generate(config)
         for trials, eventual in zip(truth.trials, truth.eventual):
             assert np.array_equal(eventual, trials)
-            assert np.all(eventual == 7)
+            assert np.all(np.asarray(eventual) == 7)
 
     def test_runs_strictly_increasing(self):
         for seed in range(20):
@@ -60,18 +75,19 @@ class TestGenerate:
         for seed in range(20):
             _, truth = generate(small_scenario(seed))
             for row in truth.eventual:
-                assert np.all(row >= 1)
+                assert np.all(np.asarray(row) >= 1)
 
     def test_observed_at_most_eventual(self):
         for seed in range(10):
             _, truth = generate(small_scenario(seed))
             for observed, eventual in zip(truth.observed, truth.eventual):
-                assert np.all(observed <= eventual)
+                assert np.all(np.asarray(observed) <= np.asarray(eventual))
 
     def test_round_trip_through_summaries(self):
         log, truth = generate(small_scenario(9))
         summaries = summarize_phases(log.records, log.runs_per_phase)
         for summary, observed_row in zip(summaries, truth.observed):
+            observed_row = np.asarray(observed_row)
             assert summary.observed_total == int(observed_row.sum())
             assert summary.distinct_bugs == int((observed_row >= 1).sum())
         assert [s.runs_cumulative for s in summaries] == truth.runs_cumulative
@@ -142,7 +158,8 @@ def test_binomial_degenerate_rates_are_point_masses():
 
 def test_generate_at_large_trial_counts():
     log, truth = generate(small_scenario(n_trials_range=(1030, 1030)))
-    assert all(np.all(row >= 1) and np.all(row <= 1030) for row in truth.eventual)
+    rows = [np.asarray(row) for row in truth.eventual]
+    assert all(np.all(row >= 1) and np.all(row <= 1030) for row in rows)
 
 
 def test_matched_t_prior_round_trip():
@@ -182,3 +199,59 @@ def test_oracle_hyperparams_pin_logged_bugs():
     for summary, row, n_row, s_row in zip(summaries, hyper.m_weights, truth.trials, truth.observed):
         assert len(row) == summary.distinct_bugs
         assert row == [[n] for n, s in zip(n_row, s_row) if s >= 1]
+
+
+def _chi2_pvalue(draws, law):
+    """Chi-square p-value of integer draws against a frozen scipy law, over
+    cells of about 2% exact mass each."""
+    size = len(draws)
+    cuts = np.unique(law.ppf(np.linspace(0.02, 0.98, 49)))
+    cuts = cuts[cuts < law.support()[1]]
+    observed = np.histogram(draws, np.concatenate(([-0.5], cuts + 0.5, [np.inf])))[0]
+    expected = size * np.diff(np.concatenate(([0.0], law.cdf(cuts), [1.0])))
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    return chi2.sf(statistic, len(observed) - 1)
+
+
+# (n, p) on both sides of the n p = 10 switch between the geometric method
+# and BTRS, and through the p > 0.5 reflection.
+BINOMIAL_CASES = [(1, 0.3), (12, 0.4), (30, 0.33), (30, 0.34), (40, 0.9), (5000, 0.37)]
+
+
+@pytest.mark.parametrize("n, p", BINOMIAL_CASES)
+def test_binomial_matches_exact_law(n, p):
+    # 50 000 draws; the gate, p-value above 0.001, was fixed before the
+    # first run
+    rng = random.Random(f"{n} {p}")
+    draws = np.array([binomial(rng, n, p) for _ in range(50_000)])
+    assert 0 <= draws.min() and draws.max() <= n
+    assert _chi2_pvalue(draws, binom(n, p)) > 1e-3
+
+
+def test_binomial_degenerate_rates_are_exact():
+    rng = random.Random(0)
+    assert [binomial(rng, n, 0.0) for n in (0, 1, 7, 40_000)] == [0, 0, 0, 0]
+    assert [binomial(rng, n, 1.0) for n in (0, 1, 7, 40_000)] == [0, 1, 7, 40_000]
+    assert rng.random() == random.Random(0).random()  # no uniform was spent
+
+
+@pytest.mark.skipif(
+    not hasattr(random.Random, "binomialvariate"), reason="binomialvariate is new in 3.12"
+)
+@pytest.mark.parametrize("n, p", BINOMIAL_CASES + [(0, 0.5), (40_000, 0.999)])
+def test_binomial_repeats_binomialvariate(n, p):
+    ours, reference = random.Random(n), random.Random(n)
+    assert [binomial(ours, n, p) for _ in range(2_000)] == [
+        reference.binomialvariate(n, p) for _ in range(2_000)
+    ]
+
+
+@pytest.mark.parametrize("r", [2.5, 40])
+def test_negative_binomial_matches_exact_law(r):
+    # P(N = k) = C(k + r - 1, k) p^k (1 - p)^r is scipy's nbinom(r, 1 - p);
+    # 50 000 draws, the gate fixed before the first run as above
+    p = 0.7
+    rng = random.Random(f"nb {r}")
+    draws = np.array([negative_binomial(rng, r, p) for _ in range(50_000)])
+    assert draws.min() >= 0
+    assert _chi2_pvalue(draws, nbinom(r, 1 - p)) > 1e-3
