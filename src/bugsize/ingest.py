@@ -124,11 +124,10 @@ def _csv_errors(reader):
 
 def _table(
     lines: list[str], required: tuple[str, ...], optional: tuple[str, ...]
-) -> tuple[Iterator[list[str]], list[int], int]:
+) -> tuple[Iterator[list[str]], list[int]]:
     """Read a table's header by the rules above.  Returns the csv reader,
-    positioned after the header, each of the `required`, then the
-    `optional`, columns' index in a row (-1 where the table has none), and
-    the number of columns the header names."""
+    positioned after the header, and each of the `required`, then the
+    `optional`, columns' index in a row (-1 where the table has none)."""
     first = next((line for line in lines if line.strip()), "")
     reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
     with _csv_errors(reader):
@@ -140,7 +139,7 @@ def _table(
                 if column not in names:
                     raise SchemaError(f"missing required column '{column}'")
             index = [names.index(name) if name in names else -1 for name in required + optional]
-            return reader, index, len(names)
+            return reader, index
     raise SchemaError("input has no header row")
 
 
@@ -159,7 +158,7 @@ def _rows(
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line, cells)` for each non-blank data row of a table, with
     `cells` as `_cells` gives them."""
-    reader, index, _ = _table(lines, required, optional)
+    reader, index = _table(lines, required, optional)
     with _csv_errors(reader):
         for row in reader:
             if not _blank(row):
@@ -212,27 +211,22 @@ def _input_row(line_no: int, cells: list[str], count: int) -> tuple[int, TestLog
     return cycle, _record(line_no, cycle, defect_id, count, cells[2:])
 
 
-def _counted_rows(
-    lines: list[str], reader, index: list[int], width: int
-) -> tuple[Counter, list[int]]:
+def _counted_rows(lines: list[str], reader, index: list[int]) -> tuple[Counter, list[int]]:
     """Count a per-input table's data rows by the cells the parse reads, so
     that rows differing only in other columns count once.  Returns the
     counts and `index` remapped into a counted key.
 
-    A table whose header names only columns the parse reads is counted by
-    whole rows, which is the same count made faster.  Otherwise empty lines
-    are dropped and rows are keyed by the cells read.  A short row cannot
-    be keyed, and a key whose cells are all blank may stand for a row with
-    content in other columns; with either, whole rows are counted."""
+    Empty lines are dropped.  A short row cannot be keyed, and a key whose
+    cells are all blank may stand for a row with content in other columns;
+    with either, whole rows are counted instead."""
     read = [i for i in index if i >= 0]
-    if len(read) < width:
-        try:
-            counts = Counter(map(itemgetter(*read), filter(None, reader)))
-        except IndexError:
-            counts = None
-        if counts is not None and not any(map(_blank, counts)):
-            return counts, [read.index(i) if i >= 0 else -1 for i in index]
-        reader, index, _ = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
+    try:
+        counts = Counter(map(itemgetter(*read), filter(None, reader)))
+    except IndexError:
+        counts = None
+    if counts is not None and not any(map(_blank, counts)):
+        return counts, [read.index(i) if i >= 0 else -1 for i in index]
+    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
     return Counter(map(tuple, reader)), index
 
 
@@ -252,11 +246,11 @@ def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     physical line that holds it.
     """
     lines = _lines(source)
-    reader, index, width = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
+    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
     records = []
     run_counts: dict[int, int] = {}
     try:
-        counts, index = _counted_rows(lines, reader, index, width)
+        counts, index = _counted_rows(lines, reader, index)
         for row, count in counts.items():
             if _blank(row):
                 continue

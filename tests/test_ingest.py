@@ -195,6 +195,14 @@ def test_unique_input_column_gives_the_same_records():
     assert summarize_phases(records, runs) == summarize_phases(*parse_input_log(plain.encode()))
 
 
+def test_row_blank_only_in_read_columns_is_an_error():
+    # the row has content, so it is not skipped as blank: its empty cycle
+    # is reported at its own line
+    log = "cycle,defect_id,input_id\n1,7,a\n , ,b\n2,,c\n"
+    with pytest.raises(RowError, match="^line 3: column 'cycle' has non-integer value ''"):
+        parse_input_log(log.encode())
+
+
 def test_phase_summary_doc_schema():
     summaries = summarize_phases(parse_test_log(SAMPLE_LOG.encode()), SYNTHETIC_RUNS)
     doc = phase_summary_doc(summaries)

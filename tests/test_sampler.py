@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2, poisson
+from scipy.stats import poisson
 
 import bugsize.sampler as sampler_mod
 from bugsize.ingest import PhaseSummary
@@ -541,20 +541,13 @@ class TestDiagnostics:
 
 
 @pytest.mark.parametrize("lam", [1, 9, 10, 60, 5000])
-def test_poisson_matches_exact_law(lam):
+def test_poisson_matches_exact_law(lam, chi2_pvalue):
     # numpy's two methods meet at lam = 10: multiplication below, PTRS from
-    # there.  Chi-square over cells of about 2% exact mass each; the gate,
-    # p-value above 0.001, was fixed before the first run.
-    size = 50_000
+    # there.  The gate, p-value above 0.001, was fixed before the first run.
     rng = random.Random(lam)
-    draws = np.array([sampler_mod.poisson(rng, lam) for _ in range(size)])
-    cuts = np.unique(poisson.ppf(np.linspace(0.02, 0.98, 49), lam))
-    upper = np.concatenate((cuts, [np.inf]))
-    observed = np.histogram(draws, np.concatenate(([-0.5], cuts + 0.5, [np.inf])))[0]
-    expected = size * np.diff(np.concatenate(([0.0], poisson.cdf(upper, lam))))
-    statistic = float(((observed - expected) ** 2 / expected).sum())
+    draws = np.array([sampler_mod.poisson(rng, lam) for _ in range(50_000)])
     assert draws.min() >= 0
-    assert chi2.sf(statistic, len(observed) - 1) > 1e-3
+    assert chi2_pvalue(draws, poisson(lam)) > 1e-3
 
 
 def _reference_split_r_hat(draws):
