@@ -22,9 +22,9 @@ import typing
 from pathlib import Path
 
 # Only ingest is imported here; every handler imports the modules it runs,
-# so ingest, decide and predict without --draws never load numpy.  Handlers
-# call through the module (sampler_mod.run_chain) so that a tracer patching
-# the module attribute sees the call.
+# so a command loads only what it needs.  Handlers call through the module
+# (sampler_mod.run_chain) so that a tracer patching the module attribute
+# sees the call.
 from . import ingest as ingest_mod
 
 if typing.TYPE_CHECKING:
@@ -386,8 +386,10 @@ def _cmd_predict(args) -> tuple[dict, dict]:
 
 def _draws_from_dump(path: str) -> list[float]:
     """The `F` column of a `fit --dump-draws` file.  A header without an `F`
-    column, a row too short to reach it or a value that is not a number
-    raises a ValueError naming the file, the line and the column."""
+    column, a row too short to reach it, or a value that is not a number or
+    not an integer raises a ValueError naming the file, the line and the
+    column.  F is a sum of integer sizes, and integer draws keep the
+    bandwidth search's gap table within the draws' value range."""
     values = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -402,9 +404,12 @@ def _draws_from_dump(path: str) -> list[float]:
             if len(row) <= column:
                 raise ValueError(f"{where}: the row has {len(row)} fields and no column 'F'")
             try:
-                values.append(float(row[column]))
+                value = float(row[column])
             except ValueError:
                 raise ValueError(f"{where}: column 'F' has non-numeric value {row[column]!r}") from None
+            if math.isfinite(value) and not value.is_integer():
+                raise ValueError(f"{where}: column 'F' has non-integer value {row[column]!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path} holds no draws")
     if not all(map(math.isfinite, values)):

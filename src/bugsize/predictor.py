@@ -7,20 +7,20 @@ prediction is the mean of the density restricted to [0, last observed
 total), which enforces that predicted totals shrink phase over phase.
 The stop-testing rule lives in `decision`; it is re-exported here.
 
-A prediction works on a handful of phase totals, so this module runs on
-the standard library, and `bugsize predict` without `--draws` loads no
-numpy.  numpy is imported only where a computation grows with its input:
-a sum of NUMPY_MIN_TERMS or more terms (`_sum`), which keeps numpy's
-pairwise summation so that results do not depend on the input's size,
-and the cross-validation pair sums over that many or more distinct
-sample values (`_pair_sums_numpy`).
+This module runs on the standard library: `bugsize predict` loads no
+numpy, with or without `--draws`.  `_sum` adds floats in numpy's pairwise
+order, so reports stay bit-identical to those numpy computed.  Bandwidth
+cross-validation tabulates, once per sample, the count-weighted pairs of
+distinct values by their gap, and scores every candidate bandwidth from
+that table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import erf, exp, expm1, isfinite, nextafter, pi, sqrt
+from math import erf, exp, expm1, fsum, isfinite, nextafter, pi, sqrt
+from operator import mul
 
 from .decision import StopDecision, decide_stop
 
@@ -41,13 +41,11 @@ __all__ = [
 _SQRT_2PI = sqrt(2.0 * pi)
 # Points of the grid over [0, last total) on which the mode is located.
 MODE_GRID_POINTS = 2048
-# Rows of the pairwise difference matrix, one per distinct sample value,
-# that the numpy pair sums hold at a time.
-CV_BLOCK_ROWS = 128
-# numpy's add.reduce adds fewer terms than this one by one, left to right,
-# as `_sum` does; from this many on it sums pairwise.  Sums and pair sums
-# of this many terms or more therefore go through numpy.
-NUMPY_MIN_TERMS = 8
+# numpy's pairwise summation adds runs shorter than PAIRWISE_UNROLL one by
+# one, runs of up to PAIRWISE_BLOCK terms with PAIRWISE_UNROLL accumulators,
+# and splits longer runs in two.
+PAIRWISE_UNROLL = 8
+PAIRWISE_BLOCK = 128
 # Factors of the reference bandwidth that make up the default
 # cross-validation grid: np.geomspace(0.25, 4.0, 13), bit for bit.
 GRID_FACTORS = (
@@ -130,15 +128,34 @@ class Prediction:
 
 
 def _sum(values) -> float:
-    """The float sum numpy's add.reduce gives for ``values``: added one by
-    one from 0.0 below NUMPY_MIN_TERMS terms, pairwise by numpy above.
-    (The built-in sum compensates rounding from Python 3.12 on, so it
-    would not match.)"""
+    """The float sum numpy's add.reduce gives for ``values``: add's identity
+    0.0 plus the values' pairwise sum.  (The built-in sum compensates
+    rounding from Python 3.12 on, so it would not match.)"""
     values = list(values)
-    if len(values) >= NUMPY_MIN_TERMS:
-        import numpy as np
+    return 0.0 + _pairwise_sum(values, 0, len(values))
 
-        return float(np.sum(values))
+
+def _pairwise_sum(values: list[float], start: int, stop: int) -> float:
+    """numpy's pairwise sum of values[start:stop], in numpy's order."""
+    n = stop - start
+    if n < PAIRWISE_UNROLL:
+        return _ordered_sum(values[start:stop])
+    if n <= PAIRWISE_BLOCK:
+        # accumulator k adds every PAIRWISE_UNROLL-th value from start + k;
+        # the values past the last whole stride are added at the end
+        end = stop - n % PAIRWISE_UNROLL
+        r0, r1, r2, r3, r4, r5, r6, r7 = (
+            _ordered_sum(values[k:end:PAIRWISE_UNROLL]) for k in range(start, start + PAIRWISE_UNROLL)
+        )
+        return _ordered_sum([((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), *values[end:stop]])
+    # halve, rounded down to a multiple of the unroll
+    half = n // 2
+    half -= half % PAIRWISE_UNROLL
+    return _pairwise_sum(values, start, start + half) + _pairwise_sum(values, start + half, stop)
+
+
+def _ordered_sum(values) -> float:
+    """The values added one by one, left to right, from 0.0."""
     total = 0.0
     for value in values:
         total += value
@@ -223,38 +240,52 @@ def kde_density(s, events: list[PhaseEvent], weights, h: float):
     return density
 
 
-def _pair_sums(samples: list[float], h: float) -> tuple[float, float]:
-    """Sums over all ordered pairs of distinct sample values, each weighted
-    by the product of the two values' counts, of exp(-u^2/4) and of its
-    square exp(-u^2/2), with u the pair's difference over h."""
-    tally = sorted(Counter(samples).items())
-    values, counts = [v for v, _ in tally], [c for _, c in tally]
-    quad_sum = kernel_sum = 0.0
-    for v_j, c_j in zip(values, counts):
-        quad_col = kernel_col = 0.0
-        for v_i, c_i in zip(values, counts):
-            u = (v_i - v_j) / h
-            conv = exp(-0.25 * (u * u))
-            quad_col += c_i * conv
-            kernel_col += c_i * (conv * conv)
-        quad_sum += quad_col * c_j
-        kernel_sum += kernel_col * c_j
-    return quad_sum, kernel_sum
+@dataclass(frozen=True)
+class _GapTable:
+    """A sample's pairs of distinct values, tabulated by their gap: for each
+    gap, the sum of c_i c_j over the pairs of values that far apart, with c
+    a value's count.  `diagonal` is the sum of c^2 over the values."""
+
+    n: int
+    diagonal: int
+    gaps: tuple[float, ...]
+    weights: tuple[int, ...]
 
 
-def _pair_sums_numpy(samples: list[float], h: float) -> tuple[float, float]:
-    """`_pair_sums` with numpy, CV_BLOCK_ROWS distinct values at a time, so
-    memory stays linear in the number of distinct values."""
-    import numpy as np
+def _gap_table(samples: list[float]) -> _GapTable:
+    """Tabulate the pairs of distinct sample values by gap in O(d^2) steps
+    for d distinct values.  The table holds one entry per distinct gap:
+    draws of integer totals take at most (value range) gaps, distinct
+    floats up to d^2 / 2.  Integral values below 2^53 are keyed as ints, which hash
+    faster and whose gaps convert to the floats a float subtraction gives."""
+    tally = sorted(Counter(int(v) if v.is_integer() and abs(v) < 2**53 else v for v in samples).items())
+    table = defaultdict(int)
+    for i, (v_i, c_i) in enumerate(tally):
+        for v_j, c_j in tally[i + 1 :]:
+            table[v_j - v_i] += c_i * c_j
+    gaps = sorted(table)
+    return _GapTable(
+        n=len(samples),
+        diagonal=sum(c * c for _, c in tally),
+        gaps=tuple(map(float, gaps)),
+        weights=tuple(table[g] for g in gaps),
+    )
 
-    values, counts = np.unique(np.array(samples), return_counts=True)
-    quad_sum = kernel_sum = 0.0
-    for start in range(0, values.size, CV_BLOCK_ROWS):
-        block = slice(start, start + CV_BLOCK_ROWS)
-        conv = np.exp(-0.25 * ((values[block, None] - values) / h) ** 2)
-        quad_sum += float(counts[block] @ conv @ counts)
-        kernel_sum += float(counts[block] @ (conv * conv) @ counts)
-    return quad_sum, kernel_sum
+
+def _lscv(table: _GapTable, h: float) -> float:
+    """The cross-validation score of bandwidth h from a sample's gap table,
+    in O(gaps) steps."""
+    convs = [exp(-0.25 * (u * u)) for u in (gap / h for gap in table.gaps)]
+    quad_pairs = fsum(map(mul, table.weights, convs))
+    kernel_pairs = fsum([w * (conv * conv) for w, conv in zip(table.weights, convs)])
+    n = table.n
+    # every ordered pair of distinct values appears twice, each value once
+    # against itself; the n diagonal terms of the leave-one-out sum drop out
+    quad_sum = table.diagonal + 2.0 * quad_pairs
+    loo_pairs = (table.diagonal - n) + 2.0 * kernel_pairs
+    quad_term = quad_sum / (h * sqrt(2.0) * _SQRT_2PI) / n**2
+    loo_sum = loo_pairs / (h * _SQRT_2PI) / (n - 1)
+    return quad_term - 2.0 / n * loo_sum
 
 
 def cv_score(samples, h: float) -> float:
@@ -263,30 +294,25 @@ def cv_score(samples, h: float) -> float:
     CV(h) = integral of fhat_h^2 - (2/n) sum_i fhat_{h,-i}(X_i), with
     the squared-density integral in closed form: the pairwise Gaussian
     convolution has scale h*sqrt(2).  The n x n pairwise sums run over
-    the distinct sample values, each pair weighted by the product of the
-    two values' counts, so tied samples (posterior draws of integer
-    totals are heavily tied) cost nothing extra; the kernel exp(-u^2/2)
-    is the square of the convolution's exp(-u^2/4).  The pair sums run in
-    Python below NUMPY_MIN_TERMS distinct values and with numpy from
-    there on.  The n diagonal terms of the leave-one-out sum, each
-    1 / (h sqrt(2 pi)), are subtracted at the end.
+    the gaps between distinct sample values (`_gap_table`), each weighted
+    by the product of the two values' counts, so tied samples (posterior
+    draws of integer totals are heavily tied) cost nothing extra; the
+    kernel exp(-u^2/2) is the square of the convolution's exp(-u^2/4).
+    The n diagonal terms of the leave-one-out sum, each 1 / (h sqrt(2 pi)),
+    are left out.  Costs O(d^2 + gaps) for d distinct values.
     """
     x = [float(v) for v in samples]
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise ValueError("cross-validation needs at least 2 samples")
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    pair_sums = _pair_sums if len(set(x)) < NUMPY_MIN_TERMS else _pair_sums_numpy
-    quad_sum, kernel_sum = pair_sums(x, h)
-    quad_term = quad_sum / (h * sqrt(2.0) * _SQRT_2PI) / n**2
-    loo_sum = (kernel_sum - n) / (h * _SQRT_2PI) / (n - 1)
-    return quad_term - 2.0 / n * loo_sum
+    return _lscv(_gap_table(x), h)
 
 
 def select_bandwidth(samples, cv_grid) -> float:
     """Grid minimizer of the cross-validation score; ties go to the
-    smaller bandwidth."""
+    smaller bandwidth.  The samples are tabulated once for the whole
+    grid, so this costs O(d^2 + gaps x grid) for d distinct values."""
     x = [float(v) for v in samples]
     if len(x) < 2:
         raise ValueError("bandwidth selection needs at least 2 samples")
@@ -295,7 +321,8 @@ def select_bandwidth(samples, cv_grid) -> float:
         raise ValueError("cv_grid must not be empty")
     if any(h <= 0 for h in grid):
         raise ValueError("cv_grid bandwidths must be positive")
-    scores = [cv_score(x, h) for h in grid]
+    table = _gap_table(x)
+    scores = [_lscv(table, h) for h in grid]
     best = min(range(len(grid)), key=lambda k: (scores[k], grid[k]))
     return grid[best]
 

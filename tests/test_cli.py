@@ -818,8 +818,11 @@ class TestMalformedDump:
             ("iteration,chain,phase\n1,0,1\n", "{draws} line 1: missing required column 'F'"),
             ("iteration,chain,phase,F\n1,0,1,3\n1,0,2,abc\n",
              "{draws} line 3: column 'F' has non-numeric value 'abc'"),
+            # F is a sum of integer sizes
+            ("iteration,chain,phase,F\n1,0,1,3\n1,0,2,12.5\n",
+             "{draws} line 3: column 'F' has non-integer value '12.5'"),
         ],
-        ids=["short-row", "no-F-column", "not-a-number"],
+        ids=["short-row", "no-F-column", "not-a-number", "not-an-integer"],
     )
     def test_exits_1(self, capsys, tmp_path, text, message):
         draws = tmp_path / "draws.csv"
@@ -975,11 +978,21 @@ class TestImportHygiene:
             "predict", "--from-report", str(report), "--epsilon", "1",
             "--out", str(tmp_path / "predict.json"), "--quiet",
         ]
-        # a prediction from a handful of totals runs on the standard library
         assert _modules_loaded(RUN_CLI, *predict) == (False, False)
         assert _modules_loaded(RUN_CLI, *predict, "--bandwidth", "2.0") == (False, False)
-        # cross-validation over the posterior draws uses numpy
-        assert _modules_loaded(RUN_CLI, *predict, "--draws", str(draws)) == (True, False)
+        # cross-validation over the posterior draws runs on the standard
+        # library too, on the default grid and on a given one
+        assert _modules_loaded(RUN_CLI, *predict, "--draws", str(draws)) == (False, False)
+        assert _modules_loaded(
+            RUN_CLI, *predict, "--draws", str(draws), "--cv-grid", "5,10,20,40"
+        ) == (False, False)
+        # 9 phases: the temporal weights and the default grid sum 8 or more
+        # terms, in numpy's pairwise order
+        long_history = [
+            "predict", "--totals", "34007,36157,57738,11409,9000,7000,5000,3000,1000",
+            "--epsilon", "1", "--out", str(tmp_path / "predict.json"), "--quiet",
+        ]
+        assert _modules_loaded(RUN_CLI, *long_history) == (False, False)
 
     def test_fit_skips_numpy(self, sample_log, tmp_path):
         # two chains, so the diagnostics run too

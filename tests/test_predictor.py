@@ -8,9 +8,7 @@ from scipy.integrate import quad
 
 from bugsize import predictor
 from bugsize.predictor import (
-    CV_BLOCK_ROWS,
     GRID_FACTORS,
-    NUMPY_MIN_TERMS,
     KdeConfig,
     PhaseEvent,
     cv_score,
@@ -122,7 +120,7 @@ class TestBandwidthSelection:
         oracle = quad_term - (2 / 2) * (phi1 + phi1)
         assert cv_score(samples, h) == pytest.approx(oracle, abs=1e-6)
 
-    @pytest.mark.parametrize("n", [2, CV_BLOCK_ROWS - 1, 3 * CV_BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("n", [2, 127, 401])
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
     def test_blocked_cv_matches_dense(self, n, ties):
         # the reference holds the whole n x n difference matrix at once
@@ -136,7 +134,7 @@ class TestBandwidthSelection:
         x = np.random.default_rng(n).gamma(4.0, 50.0, size=n)
         if ties:
             # integer totals, as posterior draws of F are: the 401 draws take
-            # 156 distinct values, more than CV_BLOCK_ROWS
+            # 156 distinct values
             x = np.floor(x / 2.0)
         grid = (0.5, 1.0, 5.0, 40.0, 80.0, 320.0)
         scores = [dense(x, h) for h in grid]
@@ -159,26 +157,43 @@ class TestBandwidthSelection:
         with pytest.raises(ValueError, match="2 samples"):
             select_bandwidth([1.0], [0.5, 1.0])
 
-    def test_pair_sum_paths_agree(self):
-        # the Python pair sums serve fewer than NUMPY_MIN_TERMS distinct
-        # values, numpy's the rest; on one sample both must agree
-        x = np.floor(np.random.default_rng(3).gamma(4.0, 5.0, size=300)).tolist()
-        assert len(set(x)) >= NUMPY_MIN_TERMS
-        for h in (0.5, 2.0, 10.0, 80.0):
-            python = predictor._pair_sums(x, h)
-            blocked = predictor._pair_sums_numpy(x, h)
-            assert python == pytest.approx(blocked, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_gap_table_matches_pairwise(self, ties):
+        # the reference visits every ordered pair of samples, one by one
+        def pairwise(x, h):
+            n = len(x)
+            norm = h * math.sqrt(2.0 * math.pi)
+            quad = loo = 0.0
+            for i, x_i in enumerate(x):
+                for j, x_j in enumerate(x):
+                    u = (x_i - x_j) / h
+                    quad += math.exp(-0.25 * u * u)
+                    if i != j:
+                        loo += math.exp(-0.5 * u * u)
+            return quad / (norm * math.sqrt(2.0)) / n**2 - 2.0 / n * loo / norm / (n - 1)
+
+        x = np.random.default_rng(3).gamma(4.0, 5.0, size=300)
+        # integer totals repeat; floats spread over the same range do not
+        x = np.floor(x).tolist() if ties else x.tolist()
+        assert (len(set(x)) < 100) == ties
+        grid = (0.5, 2.0, 10.0, 80.0)
+        scores = [pairwise(x, h) for h in grid]
+        for h, score in zip(grid, scores):
+            assert cv_score(x, h) == pytest.approx(score, rel=1e-12, abs=0.0)
+        assert select_bandwidth(x, grid) == grid[int(np.argmin(scores))]
 
     def test_default_grid_factors(self):
         assert GRID_FACTORS == tuple(np.geomspace(0.25, 4.0, 13).tolist())
 
     def test_sum_matches_numpy(self):
-        # numpy's reduction order, which the reports were computed with
+        # numpy's reduction order, which the reports were computed with:
+        # fewer than 8 terms in order, up to 128 with 8 accumulators, and
+        # longer runs split in two
         rng = np.random.default_rng(11)
-        for n in range(1, 2 * NUMPY_MIN_TERMS):
-            for _ in range(200):
-                v = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)).tolist()
-                assert predictor._sum(v) == float(np.sum(v))
+        edges = [7, 8, 127, 128, 129, 136, 255, 256, 257, 1024]
+        for n in list(range(1101)) + edges * 20:
+            v = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)).tolist()
+            assert predictor._sum(v) == float(np.sum(v)), n
 
     def test_tie_breaks_to_smaller(self):
         # a constant score function cannot arise, but equal scores on a
