@@ -22,7 +22,7 @@ from math import fsum, lgamma, log
 from .ingest import summarize_phases
 from .model import flat_hyperparams  # noqa: F401 -- not called: bench/run.py traces this name
 from .sampler import InitializationError, SamplerConfig, run_chain
-from .simulator import ScenarioConfig, ScenarioInfeasibleError, generate, oracle_hyperparams
+from .simulator import ScenarioConfig, generate, oracle_hyperparams
 
 __all__ = [
     "DegenerateUpdateError",
@@ -288,7 +288,7 @@ def compare_models(
                 detected += summary.distinct_bugs
             mean_size = observed_total / detected if detected else 0.0
             predicted_base = state.remaining_pool * state.p * mean_size
-        except (DegenerateUpdateError, InitializationError, ScenarioInfeasibleError):
+        except (DegenerateUpdateError, InitializationError):
             skipped += 1
             continue
 

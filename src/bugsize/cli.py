@@ -43,19 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):
-        # numpy arrays and scalars, without importing numpy here
-        return _jsonable(value.tolist())
-    return value
-
-
 def _config_hash(config: dict) -> str:
-    canonical = json.dumps(_jsonable(config), sort_keys=True)
+    canonical = json.dumps(config, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -188,7 +177,7 @@ def _seed(text: str) -> int:
 def emit_report(report: dict, fmt: str, out_path: str | None, quiet: bool = False) -> None:
     """Serialize a stage report as a JSON document or a delimited table."""
     if fmt == "doc":
-        text = json.dumps(_jsonable(report), indent=2) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
     else:
         rows = report.get("per_phase") or report.get("phases")
         buffer = io.StringIO()
@@ -212,8 +201,7 @@ def emit_report(report: dict, fmt: str, out_path: str | None, quiet: bool = Fals
 
 
 def _format_cell(value) -> str:
-    value = _jsonable(value)
-    if isinstance(value, (dict, list)):
+    if isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     return "" if value is None else str(value)
 
@@ -249,7 +237,8 @@ def _cmd_fit(args) -> tuple[dict, dict]:
     summaries = _summaries_from_args(args)
     empty = [s.phase for s in summaries if s.distinct_bugs == 0]
     if empty:
-        # dropping an empty phase would re-index the negative-binomial chain
+        # its total, the size parameter of its run count, would be 0; and
+        # dropping it would give its runs to another phase
         raise ValueError(
             f"no logged defect in phase(s) {', '.join(map(str, empty))}; "
             "the model needs at least one defect in every phase"
@@ -522,7 +511,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
                 writer.writerow([record.cycle, record.defect_header, record.defect_id, record.size])
     if args.truth_out:
         Path(args.truth_out).write_text(
-            json.dumps(_jsonable(truth.as_doc()), indent=2) + "\n", encoding="utf-8"
+            json.dumps(truth.as_doc(), indent=2) + "\n", encoding="utf-8"
         )
 
     effective = {"scenario_sha256": _file_sha256(args.scenario) if args.scenario else "default"}

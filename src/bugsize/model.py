@@ -1,13 +1,27 @@
 """Hierarchical size-biased model of eventual bug sizes.
 
-Latent quantities, per testing phase j with bugs i = 1..n_j:
+Latent quantities, per testing phase j with bugs i = 1..m_j:
 
 * ``S_ij`` -- eventual size of a bug (inputs that would ever traverse it),
   with prior ``Binomial(n_ij, t_ij)`` reweighted proportionally to size.
 * ``p_j`` -- per-run detection-side probability, ``Beta(alpha_j, beta_j)``
   with the Beta moments themselves drawn from uniform hyperpriors.
-* ``N_j`` -- cumulative run counts, tied to the cumulative size totals via
-  a chain of negative binomials.
+* ``n_j = N_j - N_{j-1}`` -- the runs of phase j (``N`` cumulative,
+  ``N_0 = 0``), negative binomial with size parameter ``F_j``, the phase's
+  own total of eventual sizes:
+  ``P(n_j) = C(n_j + F_j - 1, n_j) p_j^n_j (1 - p_j)^F_j``.
+
+The run-count law.  The size parameter of phase j is F_j alone, and the
+negative binomial sits on the phase's run increment, which is what
+`simulator.generate` draws.  F_j is positive whenever every eventual size
+is at least 1, so every history in which each phase logs a bug is in the
+support, including one whose per-phase totals shrink, as they must for
+the stopping rule to say "stop": the reference totals 34 007, 36 157,
+57 738, 11 409 of acceptance criterion 6 (``TABLE_TOTALS`` in
+``tests/test_acceptance.py``) shrink at phase 4.  An earlier
+law, r_k = C_k - sum_{i<k} C_i on the cumulative totals C, ruled such
+histories out (at those totals r_4 < 0); on the first two phases the two
+laws coincide, since r_1 = C_1 = F_1 and r_2 = C_2 - C_1 = F_2.
 
 Everything probabilistic is evaluated in log space; totals in real data
 reach tens of thousands and direct products underflow.
@@ -18,12 +32,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from math import lgamma, log, log1p
+from math import fsum, lgamma, log, log1p
 
 from .ingest import PhaseSummary
 
 __all__ = [
-    "InfeasiblePhaseError",
     "solve_beta_hyper",
     "sample_hyper",
     "sample_n_trials",
@@ -32,7 +45,6 @@ __all__ = [
     "flat_hyperparams",
     "resolve_for_data",
     "ChainState",
-    "size_params",
     "log_likelihood",
     "log_posterior_S_kernel",
 ]
@@ -40,18 +52,6 @@ __all__ = [
 # Trial-count candidates default to these multiples of the observed size,
 # keeping the support of S_ij a non-empty superset of the observed floor.
 TRIAL_CANDIDATE_MULTIPLIERS = (1, 2, 3, 4)
-
-
-class InfeasiblePhaseError(ValueError):
-    """A phase's negative-binomial size parameter came out non-positive."""
-
-    def __init__(self, phase: int, value: float):
-        self.phase = phase
-        self.value = value
-        super().__init__(
-            f"phase {phase}: negative-binomial size {value} is not positive; "
-            "the configuration has zero likelihood"
-        )
 
 
 def solve_beta_hyper(mu: float, sigma2: float) -> tuple[float, float]:
@@ -236,52 +236,52 @@ class ChainState:
         return [sum(row) for row in self.S]
 
 
-def size_params(per_phase_totals) -> list:
-    """Negative-binomial size parameters r_k = C_k - sum_{i<k} C_i, where
-    C_k = F_1 + ... + F_k cumulates the per-phase totals F; exact for
-    integer totals."""
-    r, cumulative, prior = [], 0, 0
-    for F_k in per_phase_totals:
-        cumulative += F_k
-        r.append(cumulative - prior)
-        prior += cumulative
-    return r
+def _increments(cumulative, name: str, strict: bool) -> list[float]:
+    """Per-phase amounts from cumulative ones, the first phase's from 0.
+    They must be positive if `strict`, else non-negative."""
+    values = [float(x) for x in cumulative]
+    out = [b - a for a, b in zip([0.0, *values], values)]
+    if any(x <= 0.0 if strict else x < 0.0 for x in out):
+        rule = "strictly increase" if strict else "not decrease"
+        raise ValueError(f"cumulative {name} must {rule} from 0")
+    return out
+
+
+def _log_nb(n: float, r: float, p: float) -> float:
+    """Log negative-binomial mass of n runs at size r, without the n log p
+    term, which the posterior of S does not need."""
+    return lgamma(n + r) - lgamma(n + 1.0) - lgamma(r) + r * log1p(-p)
 
 
 def log_likelihood(totals_cumulative, runs_cumulative, p) -> float:
-    """Log of the chained negative-binomial run-count likelihood.
+    """Log of the run-count likelihood.
 
-    Phase k contributes log C(N_k + r_k - 1, N_k) + N_k log p_k
-    + r_k log(1 - p_k) with r_k = F_k - sum_{i<k} F_i.  All r_k must be
-    positive; every p_k must lie strictly inside (0, 1).
+    Phase k contributes log C(n_k + F_k - 1, n_k) + n_k log p_k
+    + F_k log(1 - p_k), with n_k = N_k - N_{k-1} its runs and
+    F_k = C_k - C_{k-1} its total, from the cumulative runs N and totals C.
+    C must strictly increase and N must not decrease; every p_k must lie
+    strictly inside (0, 1).
     """
-    F = [float(x) for x in totals_cumulative]
-    N = [float(x) for x in runs_cumulative]
     p = [float(x) for x in p]
-    if not len(F) == len(N) == len(p):
+    if not len(totals_cumulative) == len(runs_cumulative) == len(p):
         raise ValueError("totals, runs and p must be equal-length vectors")
     if any(p_k <= 0.0 or p_k >= 1.0 for p_k in p):
         raise ValueError("p must lie strictly inside (0, 1)")
-    r = size_params([b - a for a, b in zip([0.0, *F], F)])  # per-phase totals from cumulative
-    for k, r_k in enumerate(r):
-        if r_k <= 0.0:
-            raise InfeasiblePhaseError(k + 1, float(r_k))
-    out = 0.0
-    for N_k, r_k, p_k in zip(N, r, p):
-        out += lgamma(N_k + r_k) - lgamma(N_k + 1.0) - lgamma(r_k)
-        out += N_k * log(p_k) + r_k * log1p(-p_k)
-    return out
+    F = _increments(totals_cumulative, "totals", strict=True)
+    runs = _increments(runs_cumulative, "runs", strict=False)
+    return fsum(_log_nb(n, r, p_k) + n * log(p_k) for n, r, p_k in zip(runs, F, p))
 
 
 def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=None) -> float:
     """Unnormalized log posterior of the eventual-size matrix S.
 
     The run-count factors enter through the combinatorial and (1-p)
-    terms only (the p^N factor does not involve S), and each bug adds
-    its size-biased binomial term
+    terms only (the p^n factor does not involve S): phase k adds
+    log C(n_k + F_k - 1, n_k) + F_k log(1 - p_k), with n_k its runs and
+    F_k its total.  Each bug adds its size-biased binomial term
     log S + log C(n, S) + S log t + (n - S) log(1-t).  States with any
-    S = 0 or with a non-positive phase size parameter have zero mass and
-    return -inf; S above its trial count is a structural violation.
+    S = 0 have zero mass and return -inf; S above its trial count is a
+    structural violation.
     """
     for j, (S_row, n_row) in enumerate(zip(state.S, state.n_trials)):
         if any(S > n for S, n in zip(S_row, n_row)):
@@ -291,15 +291,8 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=No
     if any(S == 0 for S_row in state.S for S in S_row):
         return -math.inf
 
-    r = size_params(state.F)
-    if min(r) <= 0:
-        return -math.inf
-
-    out = 0.0
-    for summary, r_k, p_k in zip(data, r, state.p):
-        N_k = float(summary.runs_cumulative)
-        out += lgamma(N_k + r_k) - lgamma(N_k + 1.0) - lgamma(r_k)
-        out += r_k * log1p(-p_k)
+    runs = _increments([s.runs_cumulative for s in data], "runs", strict=False)
+    out = fsum(map(_log_nb, runs, state.F, state.p))
     for S_row, n_row, t_row in zip(state.S, state.n_trials, state.t):
         for S, n, t in zip(S_row, n_row, t_row):
             S = float(S)

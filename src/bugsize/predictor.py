@@ -113,6 +113,10 @@ class KdeConfig:
             values = getattr(self, name)
             if values is not None and not all(map(isfinite, values)):
                 raise ValueError(f"{name} must hold finite numbers")
+        # the bandwidth search tabulates the gaps between distinct samples:
+        # integers keep that table within their value range
+        if self.cv_samples is not None and not all(float(x).is_integer() for x in self.cv_samples):
+            raise ValueError("cv_samples must hold integers")
 
 
 @dataclass(frozen=True)

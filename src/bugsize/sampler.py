@@ -2,9 +2,14 @@
 
 Each sweep updates every S_ij by an independence Metropolis step with a
 Poisson(max(s_ij, 1)) proposal, s_ij being the observed size, then every
-t_ij and every p_j from their conjugate Beta conditionals.  The sampler is
-pure Python: a chain's state and per-bug priors are Python numbers, and the
-retained draws and their summaries and diagnostics are lists.
+t_ij and every p_j from their conjugate Beta conditionals.  A Metropolis
+step costs O(1): under the model's run-count law a move of S_ij changes
+only bug (i, j)'s own term and phase j's negative-binomial term, whose
+size parameter is the phase total F_j.  The sampler is pure Python: a
+chain's state and per-bug priors are Python numbers, and the retained
+draws and their summaries and diagnostics are lists.  Every mean, variance
+and autocovariance is an exactly rounded sum (``math.fsum``), so a report
+does not depend on how an interpreter's built-in ``sum`` adds floats.
 
 Random source.  Chains run one after another, and chain c of a run seeded
 with ``seed`` draws from its own ``random.Random``, seeded with a string
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from math import exp, floor, lgamma, log, log1p, sqrt
+from math import exp, floor, fsum, lgamma, log, log1p, sqrt
 from operator import mul
 
 from .ingest import PhaseSummary
@@ -35,7 +40,6 @@ from .model import (
     log_posterior_S_kernel,  # noqa: F401 -- not called: the reference mh_log_alpha must match
     resolve_for_data,
     sample_n_trials,
-    size_params,
 )
 
 __all__ = [
@@ -64,7 +68,7 @@ _CEILING = 1.0 - EPSILON_FLOOR
 
 
 class InitializationError(RuntimeError):
-    """No feasible starting state could be constructed for the chain."""
+    """No starting state could be constructed for the chain."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ class PosteriorSummary:
 
     @property
     def F_mean(self) -> list[float]:
-        return [sum(column) / len(column) for column in zip(*self.F_draws)]
+        return [fsum(column) / len(column) for column in zip(*self.F_draws)]
 
     @property
     def F_median(self) -> list[float]:
@@ -160,7 +164,7 @@ class PosteriorSummary:
     @property
     def acceptance_rate_mean(self) -> float:
         rates = [rate for row in self.acceptance for rate in row]
-        return sum(rates) / len(rates)
+        return fsum(rates) / len(rates)
 
 
 def chain_rng(seed: int, chain: int) -> random.Random:
@@ -213,6 +217,11 @@ def _clamped_beta(rng: random.Random, a: float, b: float) -> float:
     return min(max(rng.betavariate(a, b), EPSILON_FLOOR), _CEILING)
 
 
+def _phase_runs(data: list[PhaseSummary], j: int) -> int:
+    """The runs of phase j alone, N_j - N_{j-1}."""
+    return data[j].runs_cumulative - (data[j - 1].runs_cumulative if j else 0)
+
+
 def gibbs_update_p(
     hyper: Hyperparams,
     data: list[PhaseSummary],
@@ -220,16 +229,14 @@ def gibbs_update_p(
     rng: random.Random,
     totals: list[int],
 ) -> float:
-    """Draw p_j from its conjugate conditional Beta(N_j + alpha_j, r_j + beta_j).
+    """Draw p_j from its conjugate conditional Beta(n_j + alpha_j, F_j + beta_j),
+    with n_j the runs of phase j and F_j its total.
 
     `totals` are the per-phase totals of the state's eventual sizes
     (``ChainState.F``); the sweep carries them instead of summing the state.
     """
-    r_j = size_params(totals)[j]
-    if r_j <= 0:
-        raise ValueError(f"phase {j + 1}: size parameter {r_j} must be positive")
-    a = data[j].runs_cumulative + hyper.alpha_hat[j]
-    b = r_j + hyper.beta_hat[j]
+    a = _phase_runs(data, j) + hyper.alpha_hat[j]
+    b = totals[j] + hyper.beta_hat[j]
     return _clamped_beta(rng, a, b)
 
 
@@ -262,16 +269,13 @@ def mh_log_alpha(
 
     log alpha = kernel(S') - kernel(S) + [S log lam - log S!]
     - [S' log lam - log S'!], where the proposal rate lam = max(s_ij, 1)
-    is also the floor S' must reach, and the kernel difference is computed
-    from the terms the move touches, in O(phases): bug (i, j)'s own
-    size-biased binomial term, whose log S! cancels the proposal's, and the
-    negative-binomial terms of the phases whose size parameter moves.  With
-    delta = S' - S, r_j moves by +delta, r_{j+1} stays put and r_k moves by
-    -(k - j - 1) delta for k >= j + 2.  The other bugs are not read; they
-    are taken to satisfy the ChainState bounds.  Proposals below the
-    observed size, below 1, above the trial count, or breaking a phase's
-    size-parameter positivity are rejected outright (-inf); from an
-    infeasible current state any feasible proposal is accepted (+inf).
+    is also the floor S' must reach.  The kernel difference is computed in
+    O(1) from the two terms the move touches: bug (i, j)'s own size-biased
+    binomial term, whose log S! cancels the proposal's, and phase j's
+    negative-binomial term, whose size parameter F_j moves by
+    delta = S' - S.  No other bug or phase is read; the other bugs are
+    taken to satisfy the ChainState bounds.  Proposals below the observed
+    size, below 1 or above the trial count are rejected outright (-inf).
     `totals` are the per-phase totals of ``state.S`` (``state.F``).
     """
     s = data[j].observed_sizes[i]
@@ -286,24 +290,12 @@ def mh_log_alpha(
         raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
     delta = proposed - current
-    r = size_params(totals)
-    r_new = list(r)
-    r_new[j] += delta
-    for k in range(j + 2, len(r)):
-        r_new[k] -= (k - j - 1) * delta
-    if min(r_new) <= 0:
-        return -math.inf
-    if current < 1 or min(r) <= 0:
-        return math.inf
-
+    F = totals[j]
+    runs = _phase_runs(data, j)
     t = state.t[j][i]
-    p = state.p
     out = log(proposed / current) + lgamma(n - current + 1.0) - lgamma(n - proposed + 1.0)
-    out += delta * log(t / ((1.0 - t) * lam))
-    for k in (j, *range(j + 2, len(r))):
-        N_k = data[k].runs_cumulative
-        out += lgamma(N_k + r_new[k]) - lgamma(r_new[k]) - lgamma(N_k + r[k]) + lgamma(r[k])
-        out += (r_new[k] - r[k]) * log1p(-p[k])
+    out += delta * (log(t / ((1.0 - t) * lam)) + log1p(-state.p[j]))
+    out += lgamma(runs + F + delta) - lgamma(F + delta) - lgamma(runs + F) + lgamma(F)
     return out
 
 
@@ -334,18 +326,19 @@ def mh_update_S(
 
 
 def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random) -> ChainState:
-    """Build a feasible starting state.
+    """Build a starting state.
 
-    S starts at the observed sizes, t and p at their prior means.  If
-    some phase's size parameter is non-positive at the observed floor,
-    eventual sizes in the offending (later) phases are raised toward
-    their trial-count caps until every parameter is positive: bugs are
-    raised in order of their slack, largest first, and among bugs of equal
-    slack the lower bug index goes first.  Running out of slack is an
-    initialization failure.
+    S starts at the observed floors max(s_ij, 1), t and p at their prior
+    means.  Every phase must log a bug, so that its total, the size
+    parameter of its run count, is positive; and every sampled trial count
+    must reach its bug's observed size.
     """
     n_trials = []
     for j, summary in enumerate(data):
+        if not summary.distinct_bugs:
+            raise InitializationError(
+                f"phase {summary.phase}: no logged bug, so its run count would have size parameter 0"
+            )
         row = [sample_n_trials(hyper.m_weights[j][i], rng) for i in range(summary.distinct_bugs)]
         floors = [max(s, 1) for s in summary.observed_sizes]
         bad = next((i for i, (n, f) in enumerate(zip(row, floors)) if n < f), None)
@@ -357,28 +350,6 @@ def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random)
         n_trials.append(row)
 
     S = [[max(s, 1) for s in summary.observed_sizes] for summary in data]
-    total_slack = sum(n - s for n_row, S_row in zip(n_trials, S) for n, s in zip(n_row, S_row))
-    for _ in range(total_slack + 1):
-        r = size_params([sum(row) for row in S])
-        if min(r) > 0:
-            break
-        k = next(k for k, r_k in enumerate(r) if r_k <= 0)
-        need = 1 - r[k]
-        slack = [n - s for n, s in zip(n_trials[k], S[k])]
-        if sum(slack) < need:
-            raise InitializationError(
-                f"phase {k + 1}: size parameter {r[k]} cannot be made positive; "
-                f"needs {need} more eventual size but only {sum(slack)} slack"
-            )
-        # sorted() is stable: equal slack keeps the lower index first
-        for i in sorted(range(len(slack)), key=lambda i: -slack[i]):
-            take = min(slack[i], need)
-            S[k][i] += take
-            need -= take
-            if need == 0:
-                break
-    else:
-        raise InitializationError("feasibility repair did not converge")
 
     def clip(x):
         return min(max(x, EPSILON_FLOOR), _CEILING)
@@ -438,7 +409,7 @@ def run_chain(
     results = [_run_single_chain(data, resolved, config, c) for c in range(config.chains)]
     draws = [r[0] for r in results]
     acceptance = [
-        [sum(rates) / config.chains for rates in zip(*(r[1][j] for r in results))]
+        [fsum(rates) / config.chains for rates in zip(*(r[1][j] for r in results))]
         for j in range(len(data))
     ]
     diag = None
@@ -457,13 +428,13 @@ def run_chain(
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    return fsum(values) / len(values)
 
 
 def _variance(values: list[float]) -> float:
     """Sample variance, with n - 1 in the denominator (numpy's ddof=1)."""
     mean = _mean(values)
-    return sum((x - mean) ** 2 for x in values) / (len(values) - 1)
+    return fsum((x - mean) ** 2 for x in values) / (len(values) - 1)
 
 
 def split_r_hat(draws) -> tuple[float, bool]:
@@ -502,7 +473,7 @@ def effective_sample_size(draws) -> float:
     centered = [[x - mean for x in chain] for chain, mean in zip(chains, map(_mean, chains))]
 
     def acov(lag: int) -> float:
-        return sum(sum(map(mul, c, c[lag:])) for c in centered) / (n * len(centered))
+        return fsum([fsum(map(mul, c, c[lag:])) for c in centered]) / (n * len(centered))
 
     acov0 = acov(0)
     if acov0 <= 0.0:

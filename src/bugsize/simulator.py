@@ -1,10 +1,12 @@
 """Synthetic testing-log generator with known ground truth.
 
 Scenarios draw eventual bug sizes from the size-biased binomial law the
-estimator assumes, chain run counts through the negative-binomial link,
-and thin eventual sizes down to observed sizes with a run-dependent
-exposure probability.  Serves as the oracle for estimator-recovery and
-model-comparison tests.
+estimator assumes, draw each phase's runs from the model's run-count law,
+NB(F_j, p_j) with F_j the phase's total of eventual sizes (`model`), and
+thin eventual sizes down to observed sizes with a run-dependent exposure
+probability.  Every phase has at least one bug of size at least 1, so
+every draw of the latents is in the model's support.  Serves as the
+oracle for estimator-recovery and model-comparison tests.
 
 An eventual size S is drawn as 1 + Binomial(n - 1, t): size-biasing
 Binomial(n, t) gives exactly that law, since
@@ -38,7 +40,7 @@ from math import fabs, floor, lgamma, log, log1p, log2, sqrt
 from typing import TYPE_CHECKING
 
 from .ingest import TestLogRecord
-from .model import Hyperparams, flat_hyperparams, size_params, solve_beta_hyper
+from .model import Hyperparams, flat_hyperparams, solve_beta_hyper
 from .sampler import poisson
 
 if TYPE_CHECKING:
@@ -50,7 +52,6 @@ __all__ = [
     "size_biased_pmf",
     "binomial",
     "negative_binomial",
-    "ScenarioInfeasibleError",
     "ScenarioConfig",
     "TestLog",
     "GroundTruth",
@@ -193,10 +194,6 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-class ScenarioInfeasibleError(RuntimeError):
-    """Feasibility resampling was exhausted without a usable draw."""
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     phases: int
@@ -206,7 +203,6 @@ class ScenarioConfig:
     p_true: tuple[float, ...]
     seed: int
     exposure_offset: float = 100.0
-    max_retries: int = 1000
 
     def __post_init__(self) -> None:
         if self.phases < 1:
@@ -267,7 +263,9 @@ class GroundTruth:
         }
 
 
-def _draw_latents(config: ScenarioConfig, rng: random.Random):
+def generate(config: ScenarioConfig) -> tuple[TestLog, GroundTruth]:
+    """Generate one scenario; deterministic given config.seed."""
+    rng = random.Random(f"bugsize scenario {config.seed}")
     lo, hi = config.n_trials_range
     t_lo, t_hi = config.t_range
     trials, rates, eventual = [], [], []
@@ -279,32 +277,11 @@ def _draw_latents(config: ScenarioConfig, rng: random.Random):
         trials.append(n_row)
         rates.append(t_row)
         eventual.append(S_row)
-    return trials, rates, eventual
-
-
-def generate(config: ScenarioConfig) -> tuple[TestLog, GroundTruth]:
-    """Generate one scenario; deterministic given config.seed.
-
-    Latents are resampled (bounded retries) until every phase's
-    negative-binomial size parameter is positive, matching the support
-    of the likelihood.
-    """
-    rng = random.Random(f"bugsize scenario {config.seed}")
-    for _ in range(config.max_retries):
-        trials, rates, eventual = _draw_latents(config, rng)
-        r = size_params([sum(row) for row in eventual])
-        if min(r) > 0:
-            break
-    else:
-        raise ScenarioInfeasibleError(
-            f"no feasible eventual-size draw in {config.max_retries} attempts; "
-            "later phases must be able to out-size earlier ones"
-        )
 
     runs_per_phase = []
-    for r_k, p_k in zip(r, config.p_true):
+    for S_row, p_k in zip(eventual, config.p_true):
         # NB can draw 0 runs; cumulative run counts must strictly increase.
-        runs_per_phase.append(max(negative_binomial(rng, r_k, p_k), 1))
+        runs_per_phase.append(max(negative_binomial(rng, sum(S_row), p_k), 1))
     runs_cumulative = list(accumulate(runs_per_phase))
 
     observed = []

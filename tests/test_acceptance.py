@@ -98,6 +98,19 @@ def test_criterion_2_conjugacy_equivalence():
     se_p = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)) / draws)
     ok_p = abs(mean_p - a / (a + b)) < 3 * se_p
 
+    # p update of phase 2: its own runs 12 - 5 = 7 and its own total 4,
+    # alpha=2, beta=4 -> Beta(9, 8)
+    data_2 = [PhaseSummary(1, 5, {1: 3}), PhaseSummary(2, 12, {2: 4})]
+    hyper_2 = flat_hyperparams(2)
+    hyper_2.alpha_hat = [1.0, 2.0]
+    hyper_2.beta_hat = [1.0, 4.0]
+    resolved_2 = resolve_for_data(hyper_2, data_2)
+    rng = random.Random(19)
+    mean_p2 = np.mean([gibbs_update_p(resolved_2, data_2, 1, rng, [3, 4]) for _ in range(draws)])
+    a2, b2 = 9.0, 8.0
+    se_p2 = math.sqrt(a2 * b2 / ((a2 + b2) ** 2 * (a2 + b2 + 1)) / draws)
+    ok_p2 = abs(mean_p2 - a2 / (a2 + b2)) < 3 * se_p2
+
     # t update: S=3, n=10, a=2, b=2 -> Beta(5, 9)
     hyper_t = flat_hyperparams(1)
     hyper_t.a, hyper_t.b = 2.0, 2.0
@@ -112,33 +125,32 @@ def test_criterion_2_conjugacy_equivalence():
     ok_t = abs(mean_t - at / (at + bt)) < 3 * se_t
 
     report(2, "conjugacy equivalence",
-           ok_p and ok_t,
-           f"p dev={abs(mean_p - 0.5) / se_p:.2f} SE, t dev={abs(mean_t - at/(at+bt)) / se_t:.2f} SE")
+           ok_p and ok_p2 and ok_t,
+           f"p dev={abs(mean_p - 0.5) / se_p:.2f} SE, "
+           f"phase-2 p dev={abs(mean_p2 - a2 / (a2 + b2)) / se_p2:.2f} SE, "
+           f"t dev={abs(mean_t - at/(at+bt)) / se_t:.2f} SE")
 
 
 def test_criterion_3_likelihood_brute_force():
-    """exp(log_likelihood) equals the direct product of chained NB terms."""
+    """exp(log_likelihood) equals the direct product of the per-phase NB
+    terms: phase k's runs n_k ~ NB(F_k, p_k), F_k its own total."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
         m = int(rng.integers(1, 4))
-        while True:
-            per_phase = rng.integers(1, 8, size=m)
-            totals = np.cumsum(per_phase)
-            # r_k = C_k - sum_{i<k} C_i over the cumulative totals C
-            r = [totals[k] - totals[:k].sum() for k in range(m)]
-            if totals[-1] <= 30 and min(r) > 0:
-                break
-        N = rng.integers(0, 12, size=m)
+        # per-phase totals in any order, so histories may shrink, and
+        # strictly increasing cumulative runs
+        r = rng.integers(1, 8, size=m)
+        n = rng.integers(1, 12, size=m)
         p = rng.uniform(0.05, 0.95, size=m)
         brute = 1.0
         for k in range(m):
             brute *= (
-                math.comb(int(N[k] + r[k] - 1), int(N[k]))
-                * p[k] ** N[k]
+                math.comb(int(n[k] + r[k] - 1), int(n[k]))
+                * p[k] ** n[k]
                 * (1 - p[k]) ** r[k]
             )
-        rel = abs(math.exp(log_likelihood(totals, N, p)) - brute) / brute
+        rel = abs(math.exp(log_likelihood(np.cumsum(r), np.cumsum(n), p)) - brute) / brute
         worst = max(worst, rel)
     report(3, "likelihood brute-force equivalence", worst < 1e-10, f"worst rel err {worst:.2e}")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bugsize
-from bugsize.cli import _jsonable, run
+from bugsize.cli import run
 
 TABLE_TOTALS = "34007,36157,57738,11409,6.9e-10"
 
@@ -210,6 +210,28 @@ class TestFitPipeline:
         assert report["decision"]["action"] in {"stop", "continue"}
         assert sum(report["weights"]) == pytest.approx(1.0)
 
+
+    def test_shrinking_history_reaches_stop(self, tmp_path):
+        # five phases of 50 runs whose logged totals shrink, 21, 14, 7, 4, 1;
+        # epsilon 5 was fixed before the first run
+        sizes = [(9, 7, 5), (6, 5, 3), (4, 3), (3, 1), (1,)]
+        rows = [
+            f"{j},{10 * j + i},{10 * j + i},{size}"
+            for j, row in enumerate(sizes, start=1)
+            for i, size in enumerate(row)
+        ]
+        log = tmp_path / "shrinking.csv"
+        log.write_text("cycle,defect_header,defect_id,size\n" + "\n".join(rows) + "\n")
+        fit, predict, decide = (tmp_path / f"{name}.json" for name in ("fit", "predict", "decide"))
+        assert run([
+            "fit", "--data", str(log), "--runs", "50,50,50,50,50", "--iterations", "400",
+            "--burn-in", "100", "--seed", "3", "--out", str(fit), "--quiet",
+        ]) == 0
+        assert run(["predict", "--from-report", str(fit), "--out", str(predict), "--quiet"]) == 0
+        assert run([
+            "decide", "--from-report", str(predict), "--epsilon", "5", "--out", str(decide), "--quiet",
+        ]) == 0
+        assert json.loads(decide.read_text())["action"] == "stop"
 
     def test_empty_phase_rejected(self, capsys, sample_log, tmp_path):
         # phase 2 of three logs no defect; fitting without it would
@@ -617,6 +639,7 @@ class TestConfigDocuments:
             ),
             ("scenario", None, "scenario must be an object, got null"),
             ("scenario", {**SCENARIO, "bogus": 2}, "scenario has unknown keys: ['bogus']"),
+            ("scenario", {**SCENARIO, "max_retries": 50}, "scenario has unknown keys: ['max_retries']"),
             (
                 "scenario",
                 {**SCENARIO, "p_true": [0.7, None]},
@@ -635,7 +658,7 @@ class TestConfigDocuments:
             "predict-list", "predict-window-typo", "predict-windows-number",
             "predict-windows-short-pair", "predict-windows-string",
             "baseline-string", "baseline-unknown", "baseline-delta-null", "baseline-q-unknown",
-            "scenario-null", "scenario-unknown", "scenario-p_true-null",
+            "scenario-null", "scenario-unknown", "scenario-max_retries", "scenario-p_true-null",
             "comparison-number", "comparison-unknown", "comparison-chains-bool",
         ],
     )
@@ -1021,42 +1044,3 @@ class TestImportHygiene:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             bugsize.no_such_name
-
-
-def _reference_jsonable(value):
-    """The conversion by explicit numpy type checks that `_jsonable`'s
-    duck-typed `.tolist()` replaced."""
-    if isinstance(value, dict):
-        return {key: _reference_jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_reference_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_reference_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        np.float64(0.1),
-        np.float64(-3.0e-300),
-        np.int64(2**40),
-        np.bool_(True),
-        np.array([0.5, 1.0, 2.5]),
-        np.arange(6, dtype=np.int64).reshape(2, 3),
-        {"weights": np.array([0.25, 0.75]), "pair": (np.int64(3), np.array([True, False]))},
-        ({"nested": [np.float64(1.5), None]}, "text"),
-        {"a": 1, "b": 2.5, "c": [True, None, "x"], "d": (1, 2)},
-        7,
-        None,
-        "plain",
-    ],
-)
-def test_jsonable_matches_explicit_conversion(value):
-    assert json.dumps(_jsonable(value)) == json.dumps(_reference_jsonable(value))

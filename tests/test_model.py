@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from bugsize.ingest import PhaseSummary
 from bugsize.model import (
     ChainState,
-    InfeasiblePhaseError,
     log_likelihood,
     log_posterior_S_kernel,
     resolve_for_data,
     sample_hyper,
     sample_n_trials,
-    size_params,
     solve_beta_hyper,
 )
 from bugsize.simulator import DiscretePmf, binomial_pmf, size_biased_pmf
@@ -132,13 +130,24 @@ class TestLogLikelihood:
         assert log_likelihood([1], [0], [q]) == pytest.approx(math.log(1 - q))
 
     def test_two_phases(self):
+        # phase 2 has total 3 - 1 = 2 and 2 - 1 = 1 run: C(2, 1) / 2 / 4
         value = log_likelihood([1, 3], [1, 2], [0.5, 0.5])
-        assert value == pytest.approx(math.log(0.25) + math.log(3 / 16))
+        assert value == pytest.approx(math.log(0.25) + math.log(0.25))
 
-    def test_infeasible_size_names_phase(self):
-        with pytest.raises(InfeasiblePhaseError) as excinfo:
-            log_likelihood([5, 8, 10], [3, 4, 5], [0.5, 0.5, 0.5])
-        assert excinfo.value.phase == 3
+    def test_shrinking_totals_are_in_the_support(self):
+        # per-phase totals 5, 3, 2: the phase's own total is its size
+        value = log_likelihood([5, 8, 10], [3, 4, 5], [0.5, 0.5, 0.5])
+        brute = math.comb(7, 3) / 2**8 * math.comb(3, 1) / 2**4 * math.comb(2, 1) / 2**3
+        assert math.exp(value) == pytest.approx(brute, rel=1e-12)
+
+    def test_nonincreasing_input_rejected(self):
+        for totals, runs, message in (
+            ([5, 5, 10], [3, 4, 5], "totals must strictly increase"),
+            ([0, 2], [3, 4], "totals must strictly increase"),
+            ([5, 8, 10], [3, 2, 5], "runs must not decrease"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                log_likelihood(totals, runs, [0.5] * len(totals))
 
     def test_boundary_p_rejected(self):
         with pytest.raises(ValueError, match="strictly"):
@@ -148,24 +157,16 @@ class TestLogLikelihood:
         rng = np.random.default_rng(2024)
         for _ in range(100):
             m = int(rng.integers(1, 4))
-            # build per-phase increments keeping every size parameter positive
-            while True:
-                per_phase = rng.integers(1, 8, size=m)
-                F = np.cumsum(per_phase)
-                # r_k = F_k - sum_{i<k} F_i over the cumulative totals F
-                r = [F[k] - F[:k].sum() for k in range(m)]
-                if F[-1] <= 30 and min(r) > 0:
-                    break
-            N = rng.integers(0, 12, size=m)
+            # per-phase totals r and runs n, in any order; the likelihood
+            # reads their cumulative sums
+            r = rng.integers(1, 11, size=m)
+            n = rng.integers(0, 12, size=m)
             p = rng.uniform(0.05, 0.95, size=m)
             brute = 1.0
             for k in range(m):
-                brute *= (
-                    math.comb(int(N[k] + r[k] - 1), int(N[k]))
-                    * p[k] ** N[k]
-                    * (1 - p[k]) ** r[k]
-                )
-            assert math.exp(log_likelihood(F, N, p)) == pytest.approx(brute, rel=1e-10)
+                brute *= math.comb(int(n[k] + r[k] - 1), int(n[k])) * p[k] ** n[k] * (1 - p[k]) ** r[k]
+            value = log_likelihood(np.cumsum(r), np.cumsum(n), p)
+            assert math.exp(value) == pytest.approx(brute, rel=1e-10)
 
 
 def _two_bug_instance():
@@ -180,12 +181,13 @@ def _two_bug_instance():
 
 
 def _brute_kernel_product(S_rows, t_rows, n_rows, p, N):
-    f = [sum(row) for row in S_rows]
-    F = np.cumsum(f)
-    r = [F[k] - F[:k].sum() for k in range(len(f))]
+    """The kernel as a product: phase k's negative-binomial factor has its
+    own total as size and its own runs N_k - N_{k-1} as count."""
+    r = [sum(row) for row in S_rows]
+    runs = np.diff(N, prepend=0)
     out = 1.0
-    for k in range(len(f)):
-        out *= math.comb(int(N[k] + r[k] - 1), int(N[k])) * (1 - p[k]) ** r[k]
+    for k in range(len(r)):
+        out *= math.comb(int(runs[k] + r[k] - 1), int(runs[k])) * (1 - p[k]) ** r[k]
     for S_row, t_row, n_row in zip(S_rows, t_rows, n_rows):
         for S, t, n in zip(S_row, t_row, n_row):
             out *= S * math.comb(n, S) * t**S * (1 - t) ** (n - S)
@@ -232,16 +234,21 @@ class TestPosteriorKernel:
             assert value > previous
             previous = value
 
-    def test_infeasible_configuration_has_zero_mass(self):
-        # three phases where the third's size parameter goes non-positive
+    def test_shrinking_totals_match_brute_force_ratio(self):
+        # per-phase totals (5, 6, 2), then (5, 6, 4): phase 3 shrinks below
+        # phase 1 in both states, and both have positive mass
         data = [PhaseSummary(j, 3 * j, {j: 2}) for j in (1, 2, 3)]
-        state = ChainState(
-            S=[np.array([5]), np.array([6]), np.array([2])],
-            p=np.array([0.5, 0.5, 0.5]),
-            t=[np.array([0.5])] * 3,
-            n_trials=[np.array([8])] * 3,
-        )
-        assert log_posterior_S_kernel(state, data) == -math.inf
+        t, n, p, N = [[0.5], [0.4], [0.3]], [[8]] * 3, [0.5, 0.6, 0.7], [3, 6, 9]
+
+        def state(S_3):
+            return ChainState(S=[[5], [6], [S_3]], p=p, t=t, n_trials=n)
+
+        k_a = log_posterior_S_kernel(state(2), data)
+        k_b = log_posterior_S_kernel(state(4), data)
+        assert math.isfinite(k_a) and math.isfinite(k_b)
+        brute_a = _brute_kernel_product([[5], [6], [2]], t, n, p, N)
+        brute_b = _brute_kernel_product([[5], [6], [4]], t, n, p, N)
+        assert k_a - k_b == pytest.approx(math.log(brute_a / brute_b), rel=1e-10)
 
 
 class TestResolveForData:
@@ -271,13 +278,3 @@ class TestResolveForData:
         data = [PhaseSummary(1, 5, {1: 2})]
         with pytest.raises(ValueError, match="phases"):
             resolve_for_data(sample_hyper(2, 0), data)
-
-
-@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
-def test_size_params_match_definition(per_phase):
-    # r_k = C_k - sum_{i<k} C_i, where C_k = F_1 + ... + F_k
-    C = [sum(per_phase[: k + 1]) for k in range(len(per_phase))]
-    r = size_params(per_phase)
-    assert r == [C[k] - sum(C[:k]) for k in range(len(C))]
-    assert all(type(r_k) is int for r_k in r)
-    assert size_params([4, 5, 5]) == [4, 5, 1]

@@ -245,6 +245,14 @@ class TestPredictNextTotal:
             assert prediction.mean < totals[-1]
 
 
+def test_kde_config_rejects_non_integer_cv_samples():
+    # the bandwidth search tabulates gaps between distinct samples; integer
+    # totals keep that table within their value range, so floats are refused
+    assert KdeConfig(cv_samples=(3, 4.0, 12)).cv_samples == (3, 4.0, 12)
+    with pytest.raises(ValueError, match="cv_samples must hold integers"):
+        KdeConfig(cv_samples=(3.0, 4.5, 12.0))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "kwargs, message",

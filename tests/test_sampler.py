@@ -2,6 +2,10 @@ import hashlib
 import inspect
 import math
 import random
+from fractions import Fraction
+from functools import reduce
+from math import fsum
+from operator import add
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from bugsize.model import (
     log_posterior_S_kernel,
     resolve_for_data,
     sample_hyper,
-    size_params,
 )
 from bugsize.sampler import (
     ChainDiagnostics,
@@ -71,7 +74,7 @@ def _three_phase_setup():
 
 
 def _three_phase_state():
-    # per-phase totals (5, 6, 6): size parameters r = (5, 6, 1)
+    # per-phase totals (5, 6, 6), runs per phase (10, 15, 20)
     return ChainState(
         S=[np.array([3, 2]), np.array([4, 2]), np.array([4, 2])],
         p=np.array([0.4, 0.55, 0.6]),
@@ -138,17 +141,14 @@ class TestGibbsP:
         draws = [gibbs_update_p(hyper, data, 0, rng, state.F) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(1 / 3, abs=0.005)
 
-    def test_infeasible_size_parameter_rejected(self):
-        data = [PhaseSummary(j, 2 * j, {j: 1}) for j in (1, 2, 3)]
-        hyper = flat_hyperparams(3)
-        state = ChainState(
-            S=[np.array([3]), np.array([4]), np.array([1])],
-            p=np.array([0.5] * 3),
-            t=[np.array([0.5])] * 3,
-            n_trials=[np.array([6])] * 3,
-        )
-        with pytest.raises(ValueError, match="positive"):
-            gibbs_update_p(hyper, data, 2, random.Random(0), state.F)
+    def test_later_phase_reads_its_own_runs_and_total(self):
+        # phase 3 of a shrinking history: 9 - 5 = 4 runs and total 1, with
+        # alpha = 2, beta = 3 -> Beta(6, 4)
+        data = [PhaseSummary(j, runs, {j: 1}) for j, runs in ((1, 2), (2, 5), (3, 9))]
+        hyper = Hyperparams(alpha_hat=[1.0, 1.0, 2.0], beta_hat=[1.0, 1.0, 3.0])
+        rng = RecordingRng()
+        gibbs_update_p(hyper, data, 2, rng, [3, 4, 1])
+        assert rng.calls == [(6.0, 4.0)]
 
 
 class TestGibbsT:
@@ -257,18 +257,41 @@ class TestMetropolisStep:
                 for i in range(summary.distinct_bugs):
                     state.S[j][i] = mh_update_S(state, data, i, j, rng, state.F)[0]
 
-    def test_moved_size_parameter_nonpositive_rejected(self):
-        # totals (5, 6, 6): r = (5, 6, 1); raising S_11 by 1 moves r_3 to 0
+    def test_local_ratio_matches_product_kernel_on_three_phases(self):
+        # every move of every bug of a 3-phase state whose totals shrink,
+        # (7, 6, 6), scored against the kernel written as a product: phase
+        # k's factor C(n_k + F_k - 1, n_k) (1 - p_k)^F_k reads its own runs
+        # n_k and its own total F_k, so a move in one phase leaves the
+        # other phases' factors alone
         data, state = _three_phase_setup()
-        assert mh_log_alpha(state, data, 0, 0, 4, state.F) == -math.inf
-        assert _reference_log_alpha(state, data, 0, 0, 4) == -math.inf
+        state.S[0][0] = 5
+        runs = [10, 15, 20]
 
-    def test_infeasible_current_state_accepts_feasible_proposal(self):
-        # totals (5, 6, 4): r_3 = -1; lowering S_11 by 2 moves r_3 to 1
-        data, state = _three_phase_setup()
-        state.S[2][0] = 2
-        assert mh_log_alpha(state, data, 0, 0, 1, state.F) == math.inf
-        assert _reference_log_alpha(state, data, 0, 0, 1) == math.inf
+        def product(S):
+            out = 1.0
+            for k, (S_row, t_row, n_row) in enumerate(zip(S, state.t, state.n_trials)):
+                F = sum(S_row)
+                out *= math.comb(runs[k] + F - 1, runs[k]) * (1 - state.p[k]) ** F
+                for size, t, n in zip(S_row, t_row, n_row):
+                    out *= size * math.comb(n, size) * t**size * (1 - t) ** (n - size)
+            return out
+
+        checked = 0
+        for j, summary in enumerate(data):
+            for i in range(summary.distinct_bugs):
+                lam = max(summary.observed_sizes[i], 1)
+                current = state.S[j][i]
+                for proposed in range(lam, state.n_trials[j][i] + 1):
+                    moved = [list(row) for row in state.S]
+                    moved[j][i] = proposed
+                    expected = math.log(product(moved) / product(state.S)) + (
+                        (current - proposed) * math.log(lam)
+                        + math.lgamma(proposed + 1) - math.lgamma(current + 1)
+                    )
+                    actual = mh_log_alpha(state, data, i, j, proposed, state.F)
+                    assert actual == pytest.approx(expected, rel=0, abs=1e-9)
+                    checked += 1
+        assert checked == 41
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -312,24 +335,9 @@ class TestInitState:
         assert state.n_trials[0] == [10]
         assert state.t[0][0] == pytest.approx(0.5)
 
-    def test_repair_raises_later_phase(self):
-        # observed floor gives per-phase totals (5, 6, 2): the third size
-        # parameter is 2 - 5 <= 0 until phase 3 is raised above 5
-        data = [
-            PhaseSummary(1, 10, {1: 5}),
-            PhaseSummary(2, 20, {2: 6}),
-            PhaseSummary(3, 30, {3: 2}),
-        ]
-        hyper = flat_hyperparams(3)
-        hyper.m_weights = [[np.array([5])], [np.array([6])], [np.array([9])]]
-        resolved = resolve_for_data(hyper, data)
-        state = init_state(data, resolved, random.Random(0))
-        assert state.S[0] == [5]
-        assert state.S[1] == [6]
-        assert state.S[2][0] == 6  # raised from 2 until r_3 = 1
-        assert size_params(state.F) == [5, 6, 1]
-
-    def test_repair_without_slack_fails(self):
+    def test_shrinking_history_starts_at_observed_floor(self):
+        # per-phase totals (5, 6, 2) at the observed floor: the third phase
+        # shrinks, and the state starts there without any repair
         data = [
             PhaseSummary(1, 10, {1: 5}),
             PhaseSummary(2, 20, {2: 6}),
@@ -337,9 +345,17 @@ class TestInitState:
         ]
         hyper = flat_hyperparams(3)
         hyper.m_weights = [[np.array([5])], [np.array([6])], [np.array([3])]]
-        resolved = resolve_for_data(hyper, data)
-        with pytest.raises(InitializationError, match="phase 3"):
-            init_state(data, resolved, random.Random(0))
+        state = init_state(data, resolve_for_data(hyper, data), random.Random(0))
+        assert state.S == [[5], [6], [2]]
+        assert state.F == [5, 6, 2]
+
+    def test_phase_without_bug_fails(self):
+        # its total, the size parameter of its run count, would be 0
+        data = [PhaseSummary(1, 10, {1: 5}), PhaseSummary(2, 20, {})]
+        hyper = flat_hyperparams(2)
+        hyper.m_weights = [[[5]], []]
+        with pytest.raises(InitializationError, match="phase 2: no logged bug"):
+            init_state(data, resolve_for_data(hyper, data), random.Random(0))
 
     def test_trial_count_below_observed_fails(self):
         data = [PhaseSummary(1, 10, {1: 5})]
@@ -348,20 +364,6 @@ class TestInitState:
         resolved = resolve_for_data(hyper, data)
         with pytest.raises(InitializationError, match="below the observed size"):
             init_state(data, resolved, random.Random(0))
-
-    def test_repair_breaks_slack_ties_by_lower_index(self):
-        # phase 3 starts at (1, 1) against phase 1's total 5: r_3 = -3 needs
-        # 4 more, and both bugs have slack 4; the lower index takes it all
-        data = [
-            PhaseSummary(1, 10, {1: 5}),
-            PhaseSummary(2, 20, {2: 6}),
-            PhaseSummary(3, 30, {3: 1, 4: 1}),
-        ]
-        hyper = flat_hyperparams(3)
-        hyper.m_weights = [[[5]], [[6]], [[5], [5]]]
-        state = init_state(data, resolve_for_data(hyper, data), random.Random(0))
-        assert state.S[2] == [5, 1]
-        assert size_params(state.F) == [5, 6, 1]
 
     def test_state_and_priors_are_plain_python(self):
         # numpy rows in, Python numbers out: per-bug priors given as arrays,
@@ -459,7 +461,8 @@ class TestRunChain:
 
     def test_draws_pinned(self):
         # Default trial candidates, a sampled phase prior and a third phase
-        # that init_state has to repair; the hash pins every retained draw.
+        # whose observed total is below the first's; the hash pins every
+        # retained draw.
         data = [
             PhaseSummary(1, 40, {1: 3, 2: 1, 3: 5}),
             PhaseSummary(2, 95, {4: 4, 5: 2, 6: 6, 7: 1}),
@@ -468,8 +471,8 @@ class TestRunChain:
         config = SamplerConfig(chains=2, iterations=300, burn_in=60, thin=2, seed=2024)
         posterior = run_chain(data, sample_hyper(3, 5), config)
         digest = hashlib.sha256(repr(posterior.draws).encode()).hexdigest()
-        assert digest == "2f0da7ed54b27c1abbe37781115a3dedf813816d4a673af1f9340dbe67c542b1"
-        assert posterior.acceptance_rate_mean == 0.22283333333333336
+        assert digest == "9be38d95175fb958cf3284c67e58a12f74439f5921595e4599330543038097ec"
+        assert posterior.acceptance_rate_mean == 0.24233333333333335
 
     def test_chains_draw_from_their_own_streams(self):
         # chain c's draws do not depend on how many chains run beside it
@@ -622,3 +625,27 @@ def test_summaries_follow_numpy_definitions(retained):
     assert posterior.F_median == np.median(pooled, axis=0).tolist()
     low, high = np.quantile(pooled, [0.025, 0.975], axis=0)
     assert posterior.F_ci == (low.tolist(), high.tolist())
+
+
+def test_reductions_are_exactly_rounded(monkeypatch):
+    # Ten rates of 0.1 add up to 0.9999999999999999 left to right, and to
+    # 1.0 exactly rounded; Python 3.12's built-in sum gives 1.0, 3.11's
+    # the former.  Every reduction of the sampler is exactly rounded, so
+    # its figures do not depend on the interpreter.
+    rates = [0.1] * 10
+    assert reduce(add, rates) != fsum(rates)
+    posterior = PosteriorSummary(
+        draws=[[[3], [4]]], acceptance=[rates], diagnostics=None,
+        chains=1, iterations=2, burn_in=0, thin=1, seed=0,
+    )
+    assert posterior.acceptance_rate_mean == 0.1
+
+    # The diagnostics of draws in tenths change when every sum is taken
+    # left to right, and stay put when every sum is the exact rational one.
+    rng = random.Random(3)
+    draws = [[round(rng.gauss(50.0, 3.0), 1) for _ in range(40)] for _ in range(2)]
+    exact = diagnostics(draws)
+    monkeypatch.setattr(sampler_mod, "fsum", lambda values: reduce(add, values, 0.0))
+    assert diagnostics(draws) != exact
+    monkeypatch.setattr(sampler_mod, "fsum", lambda values: float(sum(map(Fraction, values))))
+    assert diagnostics(draws) == exact
