@@ -5,7 +5,9 @@ The reference model tracks, for a known total fault count, the binomial
 posterior over how many faults remain undetected after each review
 phase.  Detection counts per phase follow a multinomial over fault
 classes with configured detection probabilities; the posterior stays
-binomial with parameters updated by a closed-form recursion.
+binomial with parameters updated by a closed-form recursion.  Its sums
+of probabilities are `math.fsum`s, so a report is the same on every
+Python (3.12's built-in `sum` is compensated, earlier ones are not).
 
 The comparison harness pits the size-biased estimator against this
 model on simulated scenarios with known truth, scoring both by squared
@@ -59,7 +61,7 @@ class PhaseDetection:
             raise ValueError("counts must be non-negative")
         if any(not 0.0 <= q <= 1.0 for q in self.q_detect) or not 0.0 <= self.q_none <= 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(self.q_none + sum(self.q_detect) - 1.0) > 1e-9:
+        if abs(fsum([self.q_none, *self.q_detect]) - 1.0) > 1e-9:
             raise ValueError("q_none plus class detection probabilities must sum to 1")
 
     @property
@@ -101,7 +103,7 @@ def baseline_update(state: BaselineState, detection: PhaseDetection) -> Baseline
     previous q by the same denominator, which preserves p + q = 1
     exactly whenever the detection probabilities are a proper simplex.
     """
-    sum_q = sum(detection.q_detect)
+    sum_q = fsum(detection.q_detect)
     denominator = 1.0 - state.p * sum_q
     if denominator <= 0.0:
         raise DegenerateUpdateError(
@@ -173,11 +175,9 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
     total = detection.total
     if total > pool:
         return -math.inf
-    counts_norm = sum(lgamma(c + 1) for c in detection.counts)
+    counts_norm = fsum(lgamma(c + 1) for c in detection.counts)
     log_q = [log(q) if q > 0 else -math.inf for q in detection.q_detect]
-    fixed = sum(
-        c * lq if c else 0.0 for c, lq in zip(detection.counts, log_q)
-    )
+    fixed = fsum(c * lq if c else 0.0 for c, lq in zip(detection.counts, log_q))
     terms = []
     for v in range(pool - total + 1):
         prior = posterior_remaining(state, total + v)
@@ -189,7 +189,7 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
     top = max(terms, default=-math.inf)
     if top == -math.inf:
         return -math.inf
-    return top + math.log(math.fsum(math.exp(term - top) for term in terms))
+    return top + math.log(fsum(math.exp(term - top) for term in terms))
 
 
 @dataclass(frozen=True)

@@ -307,8 +307,11 @@ def _dump_draws(posterior: PosteriorSummary, path: str) -> None:
 
 
 def _totals_from_args(args) -> list[float]:
-    if args.totals:
-        return _parse_list(args.totals, "--totals")
+    if args.totals is not None:
+        totals = _parse_list(args.totals, "--totals")
+        if not totals:
+            raise ValueError(f"--totals lists no numbers, got {args.totals!r}")
+        return totals
     if args.from_report:
         path = args.from_report
         report = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -292,11 +292,11 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=No
         return -math.inf
 
     runs = _increments([s.runs_cumulative for s in data], "runs", strict=False)
-    out = fsum(map(_log_nb, runs, state.F, state.p))
+    terms = list(map(_log_nb, runs, state.F, state.p))
     for S_row, n_row, t_row in zip(state.S, state.n_trials, state.t):
         for S, n, t in zip(S_row, n_row, t_row):
             S = float(S)
             n = float(n)
-            out += log(S) + lgamma(n + 1.0) - lgamma(S + 1.0) - lgamma(n - S + 1.0)
-            out += S * log(t) + (n - S) * log1p(-t)
-    return out
+            terms += (log(S), lgamma(n + 1.0), -lgamma(S + 1.0), -lgamma(n - S + 1.0))
+            terms += (S * log(t), (n - S) * log1p(-t))
+    return fsum(terms)

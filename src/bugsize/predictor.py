@@ -8,8 +8,9 @@ total), which enforces that predicted totals shrink phase over phase.
 The stop-testing rule lives in `decision`; it is re-exported here.
 
 This module runs on the standard library: `bugsize predict` loads no
-numpy, with or without `--draws`.  `_sum` adds floats in numpy's pairwise
-order, so reports stay bit-identical to those numpy computed.  Bandwidth
+numpy, with or without `--draws`.  Every sum of floats is a `math.fsum`,
+which is exactly rounded, so a report does not depend on the order of its
+terms or on the interpreter's built-in `sum`.  Bandwidth
 cross-validation tabulates, once per sample, the count-weighted pairs of
 distinct values by their gap, and scores every candidate bandwidth from
 that table.
@@ -41,11 +42,6 @@ __all__ = [
 _SQRT_2PI = sqrt(2.0 * pi)
 # Points of the grid over [0, last total) on which the mode is located.
 MODE_GRID_POINTS = 2048
-# numpy's pairwise summation adds runs shorter than PAIRWISE_UNROLL one by
-# one, runs of up to PAIRWISE_BLOCK terms with PAIRWISE_UNROLL accumulators,
-# and splits longer runs in two.
-PAIRWISE_UNROLL = 8
-PAIRWISE_BLOCK = 128
 # Factors of the reference bandwidth that make up the default
 # cross-validation grid: np.geomspace(0.25, 4.0, 13), bit for bit.
 GRID_FACTORS = (
@@ -131,41 +127,6 @@ class Prediction:
     truncated_mass: float
 
 
-def _sum(values) -> float:
-    """The float sum numpy's add.reduce gives for ``values``: add's identity
-    0.0 plus the values' pairwise sum.  (The built-in sum compensates
-    rounding from Python 3.12 on, so it would not match.)"""
-    values = list(values)
-    return 0.0 + _pairwise_sum(values, 0, len(values))
-
-
-def _pairwise_sum(values: list[float], start: int, stop: int) -> float:
-    """numpy's pairwise sum of values[start:stop], in numpy's order."""
-    n = stop - start
-    if n < PAIRWISE_UNROLL:
-        return _ordered_sum(values[start:stop])
-    if n <= PAIRWISE_BLOCK:
-        # accumulator k adds every PAIRWISE_UNROLL-th value from start + k;
-        # the values past the last whole stride are added at the end
-        end = stop - n % PAIRWISE_UNROLL
-        r0, r1, r2, r3, r4, r5, r6, r7 = (
-            _ordered_sum(values[k:end:PAIRWISE_UNROLL]) for k in range(start, start + PAIRWISE_UNROLL)
-        )
-        return _ordered_sum([((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), *values[end:stop]])
-    # halve, rounded down to a multiple of the unroll
-    half = n // 2
-    half -= half % PAIRWISE_UNROLL
-    return _pairwise_sum(values, start, start + half) + _pairwise_sum(values, start + half, stop)
-
-
-def _ordered_sum(values) -> float:
-    """The values added one by one, left to right, from 0.0."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def events_from_totals(totals, windows=None) -> list[PhaseEvent]:
     """Wrap plain totals as events; default windows are [j-1, j] in
     phase-index time."""
@@ -205,7 +166,7 @@ def temporal_weights(t: float, events: list[PhaseEvent], rate: float = 1.0) -> l
         / (e.window_end - e.window_start)
         for e in events
     ]
-    total = _sum(raw)
+    total = fsum(raw)
     return [w / total for w in raw]
 
 
@@ -236,11 +197,11 @@ def kde_density(s, events: list[PhaseEvent], weights, h: float):
     norm = h * _SQRT_2PI
     density = []
     for x in points:
-        value = 0.0
+        parts = []
         for center, weight in terms:
             z = (x - center) / h
-            value += exp(-0.5 * (z * z)) / norm * weight
-        density.append(value)
+            parts.append(exp(-0.5 * (z * z)) / norm * weight)
+        density.append(fsum(parts))
     return density
 
 
@@ -336,8 +297,8 @@ def _default_grid(samples) -> tuple[float, ...]:
     with s the samples' standard deviation (ddof 1, as numpy computes it)."""
     x = [float(v) for v in samples]
     n = len(x)
-    mean = _sum(x) / n
-    spread = sqrt(_sum([(v - mean) * (v - mean) for v in x]) / (n - 1)) if n > 1 else 0.0
+    mean = fsum(x) / n
+    spread = sqrt(fsum((v - mean) * (v - mean) for v in x) / (n - 1)) if n > 1 else 0.0
     reference = 1.06 * spread * n ** (-0.2)
     if not isfinite(reference):
         raise ValueError(
@@ -365,7 +326,7 @@ def _truncated_moments(centers, weights, h, upper):
         pos_mass.append(w * (1.0 - cdf_a))
         mean_part.append(c * mass[-1] + w * h * (_gauss(alpha, 1.0) - _gauss(beta, 1.0)))
         cdf_zero.append(cdf_a)
-    return _sum(mass), _sum(mean_part), _sum(pos_mass), cdf_zero
+    return fsum(mass), fsum(mean_part), fsum(pos_mass), cdf_zero
 
 
 def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Prediction:
@@ -401,11 +362,14 @@ def predict_next_total(events: list[PhaseEvent], config: KdeConfig) -> Predictio
 
     def truncated_cdf(x):
         terms = zip(weights, centers, cdf_zero)
-        return _sum([w * (_norm_cdf((x - c) / h) - cz) for w, c, cz in terms]) / total_mass
+        return fsum(w * (_norm_cdf((x - c) / h) - cz) for w, c, cz in terms) / total_mass
 
     lo, hi = 0.0, upper
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # a bracket whose midpoint is one of its ends cannot shrink further
+        if mid == lo or mid == hi:
+            break
         if truncated_cdf(mid) < 0.5:
             lo = mid
         else:

@@ -391,6 +391,23 @@ class TestBaselineCommand:
         assert report["stopping_phase"] == 2
         assert report["per_phase"][1]["p_no_fault_remaining"] == 1.0
 
+    def test_five_classes_pinned(self, capsys, tmp_path):
+        # the detection probabilities add up differently left to right and
+        # exactly rounded; the report holds the exactly rounded sum's value
+        # on every interpreter
+        detections = tmp_path / "detections.csv"
+        detections.write_text("phase,class,count\n" + "".join(f"1,{c},1\n" for c in range(1, 6)))
+        config = tmp_path / "config.json"
+        q = {"q_detect": [0.15, 0.16, 0.19, 0.15, 0.19], "q_none": 0.16}
+        config.write_text(json.dumps({"n_total": 50, "p0": 0.5, "delta": 0.3, "q": [q]}))
+        code, out, _ = run_cli(
+            capsys, "baseline", "--detections", str(detections), "--config", str(config)
+        )
+        assert code == 0
+        assert json.loads(out)["per_phase"] == [
+            {"phase": 1, "p_no_fault_remaining": 0.0012571597988045421}
+        ]
+
     def test_missing_config_key(self, capsys, tmp_path):
         detections = tmp_path / "detections.csv"
         detections.write_text("phase,class,count\n1,1,5\n")
@@ -745,10 +762,10 @@ class TestPredictFromTotals:
             (
                 "34007,36157,57738,11409,9000,8000,7000,6000,5000,4000",
                 {
-                    "predicted_next_total": 2312.9166603579097,
+                    "predicted_next_total": 2312.91666035791,
                     "predicted_median": 2440.860482517698,
                     "predicted_mode": 3998.046875,
-                    "h_selected": 3062.443384130371,
+                    "h_selected": 3062.4433841303703,
                     "weights": [
                         7.801341612780744e-05,
                         0.00021206245143623275,
@@ -761,7 +778,7 @@ class TestPredictFromTotals:
                         0.23255471590259755,
                         0.6321492583604866,
                     ],
-                    "truncated_mass": 0.3849173390680804,
+                    "truncated_mass": 0.38491733906808034,
                 },
             ),
         ],
@@ -777,7 +794,8 @@ class TestPredictFromTotals:
 
 class TestNonFinite:
     """NaN and infinity exit 1 naming the flag or field, instead of
-    reaching a report as `NaN` or `Infinity`, which are not JSON."""
+    reaching a report as `NaN` or `Infinity`, which are not JSON; so does
+    a list of totals with no number in it."""
 
     @pytest.mark.parametrize(
         "argv, files, message",
@@ -813,12 +831,18 @@ class TestNonFinite:
             (["fit", "--data", "{log}", "--runs", "40,90", "--config", "{hyper}"],
              {"log": "cycle,defect_header,defect_id,size\n1,2,3,1\n2,13,31,2\n", "hyper": '{"a": NaN}'},
              "config 'a' must be a number or a list of lists of numbers, got NaN"),
+            (["decide", "--totals", ",", "--epsilon", "1"], {}, "--totals lists no numbers, got ','"),
+            (["predict", "--totals", " "], {}, "--totals lists no numbers, got ' '"),
+            (["decide", "--totals", "", "--epsilon", "1"], {}, "--totals lists no numbers, got ''"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"], {"fit": '{"totals": []}'},
+             "{fit} holds no per-phase totals"),
         ],
         ids=[
             "totals-nan", "totals-inf", "decide-totals-inf", "bandwidth-nan", "cv-grid-nan",
             "temporal-rate-nan", "predict-epsilon-inf", "decide-epsilon-nan", "report-F_mean",
             "report-predicted", "report-totals", "draws-F", "config-window", "bandwidth-overflow",
-            "bandwidth-overflow-max", "fit-config",
+            "bandwidth-overflow-max", "fit-config", "decide-totals-empty", "predict-totals-blank",
+            "decide-totals-empty-string", "report-no-totals",
         ],
     )
     def test_exits_1(self, capsys, tmp_path, argv, files, message):

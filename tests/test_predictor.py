@@ -185,16 +185,6 @@ class TestBandwidthSelection:
     def test_default_grid_factors(self):
         assert GRID_FACTORS == tuple(np.geomspace(0.25, 4.0, 13).tolist())
 
-    def test_sum_matches_numpy(self):
-        # numpy's reduction order, which the reports were computed with:
-        # fewer than 8 terms in order, up to 128 with 8 accumulators, and
-        # longer runs split in two
-        rng = np.random.default_rng(11)
-        edges = [7, 8, 127, 128, 129, 136, 255, 256, 257, 1024]
-        for n in list(range(1101)) + edges * 20:
-            v = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)).tolist()
-            assert predictor._sum(v) == float(np.sum(v)), n
-
     def test_tie_breaks_to_smaller(self):
         # a constant score function cannot arise, but equal scores on a
         # duplicated candidate must return that candidate once
@@ -244,6 +234,23 @@ class TestPredictNextTotal:
         if prediction.truncated_mass > 0:
             assert prediction.mean < totals[-1]
 
+    def test_median_bisection_stops_when_its_bracket_cannot_shrink(self, monkeypatch):
+        calls = []
+        norm_cdf = predictor._norm_cdf
+
+        def counted(z):
+            calls.append(z)
+            return norm_cdf(z)
+
+        monkeypatch.setattr(predictor, "_norm_cdf", counted)
+        events = events_from_totals(TABLE_TOTALS)
+        predict_next_total(events, KdeConfig(bandwidth=5000.0))
+        # 2 calls per event for the moments, then one per event for each
+        # bisection step: a double's bracket stops shrinking within ~60 halvings
+        # of [0, last total], far short of the 200-step cap
+        steps = (len(calls) - 2 * len(events)) / len(events)
+        assert steps <= 60
+
 
 def test_kde_config_rejects_non_integer_cv_samples():
     # the bandwidth search tabulates gaps between distinct samples; integer
@@ -251,6 +258,42 @@ def test_kde_config_rejects_non_integer_cv_samples():
     assert KdeConfig(cv_samples=(3, 4.0, 12)).cv_samples == (3, 4.0, 12)
     with pytest.raises(ValueError, match="cv_samples must hold integers"):
         KdeConfig(cv_samples=(3.0, 4.5, 12.0))
+
+
+class TestExactSums:
+    """Every sum of floats is exactly rounded (math.fsum), so a result does
+    not depend on the order of its terms or on the interpreter."""
+
+    def test_truncated_moments(self):
+        # with a narrow kernel well inside [0, upper) each component's mass
+        # is its weight exactly; added left to right they make 0.6000000000000001
+        weights = [0.1, 0.2, 0.3]
+        assert 0.1 + 0.2 + 0.3 != 0.6
+        mass, _, pos_mass, _ = predictor._truncated_moments([1.0, 2.0, 3.0], weights, 0.01, 10.0)
+        assert mass == pos_mass == math.fsum(weights) == 0.6
+
+    def test_temporal_weights(self):
+        events = events_from_totals([1.0] * 7)
+        t, rate = 8.0, 0.5
+        # the documented raw weights, relative to the youngest event's
+        raw = [
+            math.exp(-rate * (t - e.window_end - 1.0)) * -math.expm1(-rate) for e in events
+        ]
+        left_to_right = 0.0
+        for w in raw:
+            left_to_right += w
+        assert left_to_right != math.fsum(raw)
+        assert temporal_weights(t, events, rate) == [w / math.fsum(raw) for w in raw]
+
+    def test_kde_density(self):
+        events = events_from_totals([3.0, 5.0, 9.0])
+        weights, h, x = [0.1, 0.2, 0.3], 1.5, 1.0
+        terms = []
+        for e, w in zip(events, weights):
+            z = (x - e.total_size) / h
+            terms.append(math.exp(-0.5 * (z * z)) / (h * math.sqrt(2.0 * math.pi)) * w)
+        assert terms[0] + terms[1] + terms[2] != math.fsum(terms)
+        assert kde_density(x, events, weights, h) == math.fsum(terms)
 
 
 class TestNonFinite:
