@@ -155,11 +155,20 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
 
 
 def _finite(value, what: str) -> float:
-    """``value`` as a float; ``what`` names it if it is not finite."""
-    number = float(value)
-    if not math.isfinite(number):
+    """A report's JSON number as a float; ``what`` names it if it is not a
+    number (strings and booleans are not) or not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a finite number, got {json.dumps(value)}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, integers beyond a float
         raise ValueError(f"{what} must be a finite number, got {value}")
-    return number
+    return float(value)
+
+
+def _report_list(report: dict, key: str, path: str) -> list:
+    value = report[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{path} '{key}' must be a list, got {json.dumps(value)}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -314,12 +323,19 @@ def _totals_from_args(args) -> list[float]:
         return totals
     if args.from_report:
         path = args.from_report
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
+        report = _load_config(path)
+        if not isinstance(report, dict):
+            raise ValueError(f"{path} must hold a JSON object")
         totals: list[float] = []
         if "per_phase" in report:
-            totals = [_finite(row["F_mean"], f"{path} 'F_mean'") for row in report["per_phase"]]
+            for row in _report_list(report, "per_phase", path):
+                if not isinstance(row, dict) or "F_mean" not in row:
+                    raise ValueError(
+                        f"{path} 'per_phase' entry must be an object with 'F_mean', got {json.dumps(row)}"
+                    )
+                totals.append(_finite(row["F_mean"], f"{path} 'F_mean'"))
         elif "totals" in report:
-            totals = [_finite(x, f"{path} 'totals' entry") for x in report["totals"]]
+            totals = [_finite(x, f"{path} 'totals' entry") for x in _report_list(report, "totals", path)]
         if "predicted_next_total" in report:
             totals.append(_finite(report["predicted_next_total"], f"{path} 'predicted_next_total'"))
         if not totals:

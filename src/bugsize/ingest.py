@@ -172,6 +172,13 @@ def _int_cell(raw: str, column: str, line_no: int) -> int:
         raise RowError(f"line {line_no}: column '{column}' has non-integer value {raw!r}") from None
 
 
+def _count_cell(raw: str, column: str, line_no: int) -> int:
+    count = _int_cell(raw, column, line_no)
+    if count < 0:
+        raise RowError(f"line {line_no}: column '{column}' is negative ({count})")
+    return count
+
+
 def _cycle(raw: str, line_no: int) -> int:
     cycle = _int_cell(raw, "cycle", line_no)
     if cycle < 1:
@@ -193,9 +200,7 @@ def parse_test_log(source) -> list[TestLogRecord]:
     records = []
     for line_no, cells in _rows(_lines(source), REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
         cycle = _cycle(cells[0], line_no)
-        size = _int_cell(cells[2], "size", line_no)
-        if size < 0:
-            raise RowError(f"line {line_no}: column 'size' is negative ({size})")
+        size = _count_cell(cells[2], "size", line_no)
         defect_id = _int_cell(cells[1], "defect_id", line_no)
         records.append(_record(line_no, cycle, defect_id, size, cells[3:]))
     return records
@@ -282,7 +287,7 @@ def parse_detections(source) -> dict[int, dict[int, int]]:
         counts = counts_by_phase.setdefault(phase, {})
         if cls in counts:
             raise RowError(f"line {line_no}: phase {phase}, class {cls} is listed twice")
-        counts[cls] = _int_cell(count, "count", line_no)
+        counts[cls] = _count_cell(count, "count", line_no)
     if sorted(counts_by_phase) != list(range(1, len(counts_by_phase) + 1)):
         raise ValueError("detection phases must form a contiguous range starting at 1")
     return dict(sorted(counts_by_phase.items()))

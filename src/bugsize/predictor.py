@@ -5,7 +5,7 @@ component weights decay with event age through an exponential temporal
 kernel integrated over each event's time window.  The next-phase point
 prediction is the mean of the density restricted to [0, last observed
 total), which enforces that predicted totals shrink phase over phase.
-The stop-testing rule lives in `decision`; it is re-exported here.
+`decision` holds the stop rule; of it, only `decide_stop` is re-exported.
 
 This module runs on the standard library: `bugsize predict` loads no
 numpy, with or without `--draws`.  Every sum of floats is a `math.fsum`,
@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from math import erf, exp, expm1, fsum, isfinite, nextafter, pi, sqrt
 from operator import mul
 
-from .decision import StopDecision, decide_stop
+from .decision import decide_stop
 
 __all__ = [
     "PhaseEvent",
     "KdeConfig",
     "Prediction",
-    "StopDecision",
     "events_from_totals",
     "temporal_weights",
     "kde_density",

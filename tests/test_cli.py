@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +234,56 @@ class TestFitPipeline:
             "decide", "--from-report", str(predict), "--epsilon", "5", "--out", str(decide), "--quiet",
         ]) == 0
         assert json.loads(decide.read_text())["action"] == "stop"
+
+    def test_paper_scale_pipeline(self, capsys, tmp_path):
+        # a simulated log whose per-phase observed totals are in the tens of
+        # thousands; the seed was fixed before the first run
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "phases": 3, "bugs_per_phase": [4, 5, 6], "n_trials_range": [10_000, 40_000],
+            "t_range": [0.35, 0.85], "p_true": [0.7, 0.7, 0.7],
+        }))
+        log = tmp_path / "log.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--seed", "5", "--scenario", str(scenario), "--out", str(log)
+        )
+        assert code == 0, err
+        runs = ",".join(map(str, json.loads(out)["runs_per_phase"]))
+        code, out, err = run_cli(capsys, "ingest", "--data", str(log), "--runs", runs)
+        assert code == 0, err
+        sizes = [row["sizes"] for row in json.loads(out)["phases"]]
+        assert min(map(sum, sizes)) > 10_000
+
+        fit, draws, predict, decide = (
+            tmp_path / name for name in ("fit.json", "draws.csv", "predict.json", "decide.json")
+        )
+        chains, iterations, burn_in = 2, 200, 50
+        assert run([
+            "fit", "--data", str(log), "--runs", runs, "--chains", str(chains),
+            "--iterations", str(iterations), "--burn-in", str(burn_in), "--seed", "5",
+            "--dump-draws", str(draws), "--out", str(fit), "--quiet",
+        ]) == 0
+        rows = json.loads(fit.read_text())["per_phase"]
+        for row, phase_sizes in zip(rows, sizes, strict=True):
+            assert row["F_ci_low"] <= row["F_median"] <= row["F_ci_high"]
+            assert sum(phase_sizes) <= row["F_mean"] <= 4 * sum(max(s, 1) for s in phase_sizes)
+        with draws.open(newline="", encoding="utf-8") as handle:
+            assert len(list(csv.DictReader(handle))) == chains * (iterations - burn_in) * len(rows)
+
+        assert run([
+            "predict", "--from-report", str(fit), "--draws", str(draws), "--epsilon", "1",
+            "--out", str(predict), "--quiet",
+        ]) == 0
+        predicted = json.loads(predict.read_text())
+        assert predicted["totals"] == [row["F_mean"] for row in rows]
+        assert 0 <= predicted["predicted_next_total"] < rows[-1]["F_mean"]
+        assert run([
+            "decide", "--from-report", str(predict), "--epsilon", "1", "--out", str(decide), "--quiet",
+        ]) == 0
+        decided = json.loads(decide.read_text())
+        assert decided["totals"] == predicted["totals"] + [predicted["predicted_next_total"]]
+        # every total, the prediction included, is far above epsilon
+        assert decided["action"] == "continue"
 
     def test_empty_phase_rejected(self, capsys, sample_log, tmp_path):
         # phase 2 of three logs no defect; fitting without it would
@@ -474,6 +526,7 @@ class TestDetectionTable:
         [
             ("phase,class,count\n1,1,5\n2,1,x\n", "line 3: column 'count'"),
             ("phase,class,count\n1,1,5\n2,1,5\n\n2,1,6\n", "line 5: phase 2, class 1"),
+            ("phase,class,count\n1,1,5\n2,1,-3\n", "line 3: column 'count' is negative (-3)\n"),
         ],
     )
     def test_bad_rows_exit_1_with_line(self, capsys, tmp_path, table, message):
@@ -794,8 +847,9 @@ class TestPredictFromTotals:
 
 class TestNonFinite:
     """NaN and infinity exit 1 naming the flag or field, instead of
-    reaching a report as `NaN` or `Infinity`, which are not JSON; so does
-    a list of totals with no number in it."""
+    reaching a report as `NaN` or `Infinity`, which are not JSON; so do a
+    list of totals with no number in it and a `--from-report` document of
+    the wrong shape or with a total that is not a JSON number."""
 
     @pytest.mark.parametrize(
         "argv, files, message",
@@ -836,13 +890,39 @@ class TestNonFinite:
             (["decide", "--totals", "", "--epsilon", "1"], {}, "--totals lists no numbers, got ''"),
             (["decide", "--from-report", "{fit}", "--epsilon", "1"], {"fit": '{"totals": []}'},
              "{fit} holds no per-phase totals"),
+            # a report of the wrong shape, or with a total that is not a JSON number
+            (["predict", "--from-report", "{fit}"], {"fit": '{"per_phase": 5}'},
+             "{fit} 'per_phase' must be a list, got 5"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"], {"fit": '{"per_phase": [3, 4]}'},
+             "{fit} 'per_phase' entry must be an object with 'F_mean', got 3"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"], {"fit": '{"totals": 7}'},
+             "{fit} 'totals' must be a list, got 7"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"],
+             {"fit": '{"totals": [5, 3], "predicted_next_total": null}'},
+             "{fit} 'predicted_next_total' must be a finite number, got null"),
+            (["predict", "--from-report", "{fit}"],
+             {"fit": '{"command": "baseline", "per_phase": [{"phase": 1, "p_no_fault_remaining": 0.5}]}'},
+             "{fit} 'per_phase' entry must be an object with 'F_mean', "
+             'got {{"phase": 1, "p_no_fault_remaining": 0.5}}'),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"],
+             {"fit": '{"per_phase": [{"F_mean": "12"}, {"F_mean": true}]}'},
+             '{fit} \'F_mean\' must be a finite number, got "12"'),
+            (["predict", "--from-report", "{fit}"], {"fit": '{"totals": [12, true]}'},
+             "{fit} 'totals' entry must be a finite number, got true"),
+            (["decide", "--from-report", "{fit}", "--epsilon", "1"],
+             {"fit": '{"totals": [1' + "0" * 400 + "]}"},
+             "{fit} 'totals' entry must be a finite number, got 1" + "0" * 400),
+            (["predict", "--from-report", "{fit}"], {"fit": "[3, 2]"}, "{fit} must hold a JSON object"),
         ],
         ids=[
             "totals-nan", "totals-inf", "decide-totals-inf", "bandwidth-nan", "cv-grid-nan",
             "temporal-rate-nan", "predict-epsilon-inf", "decide-epsilon-nan", "report-F_mean",
             "report-predicted", "report-totals", "draws-F", "config-window", "bandwidth-overflow",
             "bandwidth-overflow-max", "fit-config", "decide-totals-empty", "predict-totals-blank",
-            "decide-totals-empty-string", "report-no-totals",
+            "decide-totals-empty-string", "report-no-totals", "report-per-phase-number",
+            "report-per-phase-numbers", "report-totals-number", "report-predicted-null",
+            "report-baseline", "report-F_mean-string", "report-totals-bool", "report-totals-huge-int",
+            "report-list",
         ],
     )
     def test_exits_1(self, capsys, tmp_path, argv, files, message):
@@ -978,9 +1058,8 @@ RUN_CLI = "import sys\nfrom bugsize.cli import run\nassert run(sys.argv[1:]) == 
 
 class TestImportHygiene:
     def test_bare_import_loads_neither(self):
-        assert _modules_loaded("import bugsize") == (False, False)
-        # a submodule reached as a package attribute is imported on demand
-        snippet = "import bugsize\nassert bugsize.decision.decide_stop([2, 0], 1).should_stop"
+        # nor any submodule of its own
+        snippet = "import bugsize, sys\nassert not [m for m in sys.modules if m.startswith('bugsize.')]"
         assert _modules_loaded(snippet) == (False, False)
 
     @pytest.mark.parametrize("command", ["ingest", "decide"])
@@ -1058,12 +1137,11 @@ class TestImportHygiene:
         assert _modules_loaded(RUN_CLI, *fit, "--config", str(drawn)) == (False, False)
 
     def test_every_export_resolves(self):
-        for name in bugsize.__all__:
-            assert getattr(bugsize, name).__module__.startswith("bugsize.")
-        from bugsize import run_chain
-
-        assert run_chain is bugsize.sampler.run_chain
-        assert bugsize.decide_stop is bugsize.predictor.decide_stop
+        # each submodule's __all__ names only what the package defines
+        for info in pkgutil.iter_modules(bugsize.__path__):
+            module = importlib.import_module(f"bugsize.{info.name}")
+            for name in module.__all__:
+                assert getattr(module, name).__module__.startswith("bugsize."), (info.name, name)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

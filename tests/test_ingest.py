@@ -324,6 +324,7 @@ def test_parse_detections():
         ("phase,class,count\n1,x,5\n", RowError, "^line 2: column 'class'"),
         ("phase,class,count\n\n1.0,1,5\n", RowError, "^line 3: column 'phase'"),
         ("phase,class,count\n1,1,5\n3,1,5\n", ValueError, "contiguous"),
+        ("phase,class,count\n1,1,-3", RowError, r"^line 2: column 'count' is negative \(-3\)$"),
     ],
 )
 def test_parse_detections_rejects(text, error, message):
