@@ -52,11 +52,15 @@ def _file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_config(path: str | None):
-    """The JSON document at ``path``, or an empty object without one."""
+def _load_config(path: str | None, flag: str):
+    """The JSON document at ``path``, given by ``flag``, or an empty object
+    without one."""
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{flag} {path} is not UTF-8 JSON: {exc}") from None
 
 
 class _Mismatch(Exception):
@@ -252,7 +256,7 @@ def _cmd_fit(args) -> tuple[dict, dict]:
             f"no logged defect in phase(s) {', '.join(map(str, empty))}; "
             "the model needs at least one defect in every phase"
         )
-    raw_config = _load_config(args.config)
+    raw_config = _load_config(args.config, "--config")
     hyper_config = _read_config(model_mod.HyperConfig, raw_config, "config")
     hyper = model_mod.build_hyperparams(summaries, hyper_config, args.seed)
     sampler_config = sampler_mod.SamplerConfig(
@@ -323,7 +327,7 @@ def _totals_from_args(args) -> list[float]:
         return totals
     if args.from_report:
         path = args.from_report
-        report = _load_config(path)
+        report = _load_config(path, "--from-report")
         if not isinstance(report, dict):
             raise ValueError(f"{path} must hold a JSON object")
         totals: list[float] = []
@@ -355,7 +359,7 @@ def _cmd_predict(args) -> tuple[dict, dict]:
     from . import predictor as predictor_mod
 
     totals = _totals_from_args(args)
-    windows = _read_config(_PredictConfig, _load_config(args.config), "config").windows
+    windows = _read_config(_PredictConfig, _load_config(args.config, "--config"), "config").windows
     events = predictor_mod.events_from_totals(totals, windows)
     cv_samples = None
     if args.draws:
@@ -463,7 +467,7 @@ class _BaselineConfig:
 def _cmd_baseline(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
 
-    raw_config = _load_config(args.config)
+    raw_config = _load_config(args.config, "--config")
     config = _read_config(_BaselineConfig, raw_config, "config")
     n_total, p0, delta = config.n_total, float(config.p0), float(config.delta)
 
@@ -503,7 +507,7 @@ def _cmd_baseline(args) -> tuple[dict, dict]:
 def _cmd_compare(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
 
-    raw_config = _load_config(args.scenario)
+    raw_config = _load_config(args.scenario, "--scenario")
     comparison_raw = raw_config.pop("comparison", {}) if isinstance(raw_config, dict) else {}
     scenario = _scenario(raw_config, args.seed)
     comparison = _read_config(baseline_mod.ComparisonConfig, comparison_raw, "comparison")
@@ -519,7 +523,7 @@ def _cmd_compare(args) -> tuple[dict, dict]:
 def _cmd_simulate(args) -> tuple[dict, dict]:
     from . import simulator as simulator_mod
 
-    scenario = _scenario(_load_config(args.scenario), args.seed)
+    scenario = _scenario(_load_config(args.scenario, "--scenario"), args.seed)
     log, truth = simulator_mod.generate(scenario)
 
     if args.log_out:

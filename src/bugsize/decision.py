@@ -2,8 +2,8 @@
 
 Like `predictor`, this module runs on the standard library.  It stays a
 module of its own, so that `bugsize decide` does not pay for setting up
-the predictor's dataclasses (about 5 ms).  `predictor` re-exports both
-names.
+the predictor's dataclasses (about 5 ms).  `predictor` re-exports
+`decide_stop`.
 """
 
 from __future__ import annotations

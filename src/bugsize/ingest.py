@@ -124,10 +124,11 @@ def _csv_errors(reader):
 
 def _table(
     lines: list[str], required: tuple[str, ...], optional: tuple[str, ...]
-) -> tuple[Iterator[list[str]], list[int]]:
+) -> tuple[Iterator[list[str]], list[int], int]:
     """Read a table's header by the rules above.  Returns the csv reader,
-    positioned after the header, and each of the `required`, then the
-    `optional`, columns' index in a row (-1 where the table has none)."""
+    positioned after the header, each of the `required`, then the
+    `optional`, columns' index in a row (-1 where the table has none), and
+    the header's number of columns."""
     first = next((line for line in lines if line.strip()), "")
     reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
     with _csv_errors(reader):
@@ -139,7 +140,7 @@ def _table(
                 if column not in names:
                     raise SchemaError(f"missing required column '{column}'")
             index = [names.index(name) if name in names else -1 for name in required + optional]
-            return reader, index
+            return reader, index, len(names)
     raise SchemaError("input has no header row")
 
 
@@ -158,7 +159,7 @@ def _rows(
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield `(line, cells)` for each non-blank data row of a table, with
     `cells` as `_cells` gives them."""
-    reader, index = _table(lines, required, optional)
+    reader, index, _ = _table(lines, required, optional)
     with _csv_errors(reader):
         for row in reader:
             if not _blank(row):
@@ -216,22 +217,38 @@ def _input_row(line_no: int, cells: list[str], count: int) -> tuple[int, TestLog
     return cycle, _record(line_no, cycle, defect_id, count, cells[2:])
 
 
-def _counted_rows(lines: list[str], reader, index: list[int]) -> tuple[Counter, list[int]]:
+def _counted_rows(
+    lines: list[str], reader, index: list[int], width: int
+) -> tuple[Counter, list[int]]:
     """Count a per-input table's data rows by the cells the parse reads, so
     that rows differing only in other columns count once.  Returns the
     counts and `index` remapped into a counted key.
 
-    Empty lines are dropped.  A short row cannot be keyed, and a key whose
-    cells are all blank may stand for a row with content in other columns;
-    with either, whole rows are counted instead."""
+    When the parse reads every one of the header's `width` columns, a line
+    is its key up to spacing, so the table's distinct lines are counted
+    first and csv reads each distinct line once.  A table with an unread
+    column, or with a `"` on any line (a quote can join lines into one
+    row), has its rows counted as csv reads them.  Empty lines are
+    dropped.  A short row cannot be keyed, and a key whose cells are all
+    blank may stand for a row with content in other columns; with either,
+    whole rows are counted instead."""
     read = [i for i in index if i >= 0]
+    key = itemgetter(*read)
+    lines_seen = Counter(lines[reader.line_num:]) if len(read) == width else Counter()
     try:
-        counts = Counter(map(itemgetter(*read), filter(None, reader)))
+        if lines_seen and not any('"' in line for line in lines_seen):
+            counts = Counter()
+            # without a quote, csv reads each line as one row ([] if empty)
+            for row, n in zip(csv.reader(lines_seen, reader.dialect), lines_seen.values()):
+                if row:
+                    counts[key(row)] += n
+        else:
+            counts = Counter(map(key, filter(None, reader)))
     except IndexError:
         counts = None
     if counts is not None and not any(map(_blank, counts)):
         return counts, [read.index(i) if i >= 0 else -1 for i in index]
-    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
+    reader, index, _ = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
     return Counter(map(tuple, reader)), index
 
 
@@ -247,15 +264,18 @@ def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     `defect_header`, `severity`) are counted before any is parsed, so the
     parsing cost grows with the number of distinct such rows, not of rows:
     each distinct defect row gives one record, in first-appearance order,
-    whose size is the row's count.  A bad row is reported at the first
-    physical line that holds it.
+    whose size is the row's count.  When the header has no other column
+    and no line holds a `"`, distinct lines are counted and csv reads each
+    distinct line once; otherwise rows are counted as csv reads them (see
+    `_counted_rows`).  A bad row is reported at the first physical line
+    that holds it.
     """
     lines = _lines(source)
-    reader, index = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
+    reader, index, width = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
     records = []
     run_counts: dict[int, int] = {}
     try:
-        counts, index = _counted_rows(lines, reader, index)
+        counts, index = _counted_rows(lines, reader, index, width)
         for row, count in counts.items():
             if _blank(row):
                 continue

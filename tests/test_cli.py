@@ -670,6 +670,7 @@ class TestConfigDocuments:
             "baseline": ["baseline", "--detections", str(detections), "--config"],
             "scenario": ["simulate", "--scenario"],
             "comparison": ["compare", "--trials", "1", "--scenario"],
+            "report": ["decide", "--epsilon", "1", "--from-report"],
         }
 
     BASELINE = {"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [TestDetectionTable.Q]}
@@ -737,6 +738,26 @@ class TestConfigDocuments:
         path.write_text(json.dumps(document))
         code, out, err = run_cli(capsys, *argv[kind], str(path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "kind, flag, content, reason",
+        [
+            ("report", "--from-report", b"not json", "Expecting value: line 1 column 1 (char 0)"),
+            ("fit", "--config", b"hyper_seed: 3", "Expecting value: line 1 column 1 (char 0)"),
+            (
+                "comparison",
+                "--scenario",
+                b"\xff\xfe{}",
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=["report-not-json", "fit-not-json", "scenario-not-utf8"],
+    )
+    def test_unreadable_document_named(self, capsys, tmp_path, argv, kind, flag, content, reason):
+        path = tmp_path / "document.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, *argv[kind], str(path))
+        assert (code, out, err) == (1, "", f"error: {flag} {path} is not UTF-8 JSON: {reason}\n")
 
     def test_window_count_named(self, capsys, argv, tmp_path):
         path = tmp_path / "document.json"

@@ -363,14 +363,17 @@ def _outcome(parse, text):
     return phase_summary_doc(summarize_phases(records, runs)), runs
 
 
-# cycle, defect id (None for a plain row), defect_header, severity, and how
-# the defect id is padded: padded ids are distinct rows but the same defect
+# cycle, defect id (None for a plain row), defect_header, severity (quoted
+# where it holds the delimiter {d} or a line break {nl}), how the defect id
+# is padded (padded ids are distinct rows but the same defect), and whether
+# the row's result spans two physical lines
 input_row = st.tuples(
     st.integers(1, 3),
     st.one_of(st.none(), st.integers(1, 4)),
     st.integers(0, 2),
-    st.sampled_from(["", "minor", "complex"]),
+    st.sampled_from(["", "minor", "complex", "minor{d}major", "minor{nl}major"]),
     st.sampled_from(["{}", " {}", "{} ", " {} "]),
+    st.booleans(),
 )
 
 
@@ -383,39 +386,49 @@ input_row = st.tuples(
     data=st.data(),
 )
 def test_counted_input_log_matches_row_by_row(rows, extra, delimiter, newline, data):
+    # Without a `result` column every column is read and distinct lines are
+    # counted, unless a quoted severity puts a quote on a line.
     header = data.draw(st.permutations(["cycle", "defect_id", *sorted(extra)]))
     # one plain row per cycle, so that every phase has runs
-    rows = data.draw(st.permutations(rows + [(c, None, 0, "", "{}") for c in (1, 2, 3)]))
+    rows = data.draw(st.permutations(rows + [(c, None, 0, "", "{}", False) for c in (1, 2, 3)]))
 
-    def line(row):
+    def line(row, corrupt=None):
         if not isinstance(row, tuple):
             return delimiter * 2 if row is None else row
-        cycle, defect_id, defect_header, severity, pad = row
+        cycle, defect_id, defect_header, severity, pad, two_lines = row
+        result = "ok" if defect_id is None else "fail"
         cells = {
             "cycle": str(cycle),
             "defect_id": "" if defect_id is None else pad.format(defect_id),
             "defect_header": str(defect_header),
-            "severity": severity,
-            "result": "ok" if defect_id is None else "fail",
+            "severity": f'"{severity}"'.format(d=delimiter, nl=newline) if "{" in severity else severity,
+            "result": f'"{result}{newline}retried"' if two_lines else result,
         }
+        if corrupt:
+            column, value = corrupt
+            cells[column] = value
         return delimiter.join(cells[name] for name in header)
 
-    lines = [delimiter.join(header)] + [line(row) for row in rows]
-    text = newline.join(lines) + newline
+    text = newline.join([delimiter.join(header)] + [line(row) for row in rows]) + newline
     expected = _outcome(_reference_input_log, text)
     assert expected[0] != "error"
     assert _outcome(parse_input_log, text) == expected
 
     # corrupt one cell of a data row; the error, if any, names the same line
-    data_lines = [i for i, row in enumerate(rows, start=1) if isinstance(row, tuple)]
-    bad = data.draw(st.sampled_from(data_lines))
-    cells = lines[bad].split(delimiter)
-    column = data.draw(st.integers(0, len(header) - 1))
-    cells[column] = data.draw(st.sampled_from(["1.5", "0", "x"]))
-    lines[bad] = delimiter.join(cells)
+    bad = data.draw(st.sampled_from([i for i, row in enumerate(rows) if isinstance(row, tuple)]))
+    corrupt = (data.draw(st.sampled_from(header)), data.draw(st.sampled_from(["1.5", "0", "x"])))
+    lines = [line(row, corrupt if i == bad else None) for i, row in enumerate(rows)]
     if data.draw(st.booleans()):
         # an oversized cell after the bad row loses to it
         oversized = delimiter.join("9" * 200_000 if name == "defect_id" else "1" for name in header)
         lines.insert(data.draw(st.integers(bad + 1, len(lines))), oversized)
-    text = newline.join(lines) + newline
+    text = newline.join([delimiter.join(header)] + lines) + newline
     assert _outcome(parse_input_log, text) == _outcome(_reference_input_log, text)
+
+
+def test_quote_joining_lines_is_one_row():
+    # Every column is read, but the quote makes lines 2 and 3 one row, so
+    # the table's rows are counted as csv reads them, not its lines.
+    text = 'cycle,defect_id\n1,"4\n"\n1,\n1,\n2,\n'
+    assert parse_input_log(text.encode()) == _reference_input_log(text.encode())
+    assert parse_input_log(text.encode())[1] == [3, 1]
