@@ -227,6 +227,8 @@ def _data_config(args) -> dict:
 
 def _summaries_from_args(args) -> list[ingest_mod.PhaseSummary]:
     if args.per_input:
+        if args.runs is not None:
+            raise ValueError("--runs cannot be given with --per-input, which counts each phase's runs")
         records, runs = ingest_mod.parse_input_log(args.data)
     else:
         records = ingest_mod.parse_test_log(args.data)
@@ -400,28 +402,32 @@ def _draws_from_dump(path: str) -> list[float]:
     """The `F` column of a `fit --dump-draws` file.  A header without an `F`
     column, a row too short to reach it, or a value that is not a number or
     not an integer raises a ValueError naming the file, the line and the
-    column.  F is a sum of integer sizes, and integer draws keep the
-    bandwidth search's gap table within the draws' value range."""
+    column; a file that is not UTF-8 raises one naming the file.  F is a
+    sum of integer sizes, and integer draws keep the bandwidth search's
+    gap table within the draws' value range."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8: {exc}") from None
     values = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        if "F" not in header:
-            raise ValueError(f"{path} line 1: missing required column 'F'")
-        column = header.index("F")
-        for row in reader:
-            if not row:  # a blank line, which csv.DictReader also skips
-                continue
-            where = f"{path} line {reader.line_num}"
-            if len(row) <= column:
-                raise ValueError(f"{where}: the row has {len(row)} fields and no column 'F'")
-            try:
-                value = float(row[column])
-            except ValueError:
-                raise ValueError(f"{where}: column 'F' has non-numeric value {row[column]!r}") from None
-            if math.isfinite(value) and not value.is_integer():
-                raise ValueError(f"{where}: column 'F' has non-integer value {row[column]!r}")
-            values.append(value)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    if "F" not in header:
+        raise ValueError(f"{path} line 1: missing required column 'F'")
+    column = header.index("F")
+    for row in reader:
+        if not row:  # a blank line, which csv.DictReader also skips
+            continue
+        where = f"{path} line {reader.line_num}"
+        if len(row) <= column:
+            raise ValueError(f"{where}: the row has {len(row)} fields and no column 'F'")
+        try:
+            value = float(row[column])
+        except ValueError:
+            raise ValueError(f"{where}: column 'F' has non-numeric value {row[column]!r}") from None
+        if math.isfinite(value) and not value.is_integer():
+            raise ValueError(f"{where}: column 'F' has non-integer value {row[column]!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path} holds no draws")
     if not all(map(math.isfinite, values)):

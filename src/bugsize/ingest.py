@@ -8,8 +8,9 @@ three follow the same rules. The source is a path, bytes, or an open
 text/byte stream, and bytes are read as UTF-8 with an optional byte-order
 mark. The first non-blank row is the header, whose names are
 trimmed and case-insensitive. The delimiter is a tab if the first
-non-blank line holds one, else a comma. Blank rows
-are skipped, and errors name the physical line and the column.
+non-blank line holds one, else a comma. Blank rows are skipped, and
+errors name the physical line and the column (a byte that is not UTF-8,
+the line).
 """
 
 from __future__ import annotations
@@ -107,9 +108,17 @@ def _lines(source) -> list[str]:
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()
     text = source if isinstance(source, bytes) else source.read()
-    # utf-8-sig drops a leading byte-order mark, which would otherwise
-    # become part of the first header name
-    return (text.decode("utf-8-sig") if isinstance(text, bytes) else text).splitlines()
+    if isinstance(text, bytes):
+        try:
+            # utf-8-sig drops a leading byte-order mark, which would
+            # otherwise become part of the first header name
+            text = text.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one decode; a stand-in for it ends
+            # their last line, which is its line
+            line_no = len((exc.object[: exc.start].decode("utf-8") + "_").splitlines())
+            raise RowError(f"line {line_no}: not UTF-8: {exc}") from None
+    return text.splitlines()
 
 
 @contextmanager
@@ -217,39 +226,20 @@ def _input_row(line_no: int, cells: list[str], count: int) -> tuple[int, TestLog
     return cycle, _record(line_no, cycle, defect_id, count, cells[2:])
 
 
-def _counted_rows(
-    lines: list[str], reader, index: list[int], width: int
-) -> tuple[Counter, list[int]]:
-    """Count a per-input table's data rows by the cells the parse reads, so
-    that rows differing only in other columns count once.  Returns the
-    counts and `index` remapped into a counted key.
-
-    When the parse reads every one of the header's `width` columns, a line
-    is its key up to spacing, so the table's distinct lines are counted
-    first and csv reads each distinct line once.  A table with an unread
-    column, or with a `"` on any line (a quote can join lines into one
-    row), has its rows counted as csv reads them.  Empty lines are
-    dropped.  A short row cannot be keyed, and a key whose cells are all
-    blank may stand for a row with content in other columns; with either,
-    whole rows are counted instead."""
-    read = [i for i in index if i >= 0]
-    key = itemgetter(*read)
-    lines_seen = Counter(lines[reader.line_num:]) if len(read) == width else Counter()
-    try:
-        if lines_seen and not any('"' in line for line in lines_seen):
-            counts = Counter()
-            # without a quote, csv reads each line as one row ([] if empty)
-            for row, n in zip(csv.reader(lines_seen, reader.dialect), lines_seen.values()):
-                if row:
-                    counts[key(row)] += n
-        else:
-            counts = Counter(map(key, filter(None, reader)))
-    except IndexError:
-        counts = None
-    if counts is not None and not any(map(_blank, counts)):
-        return counts, [read.index(i) if i >= 0 else -1 for i in index]
-    reader, index, _ = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
-    return Counter(map(tuple, reader)), index
+def _tally(counts: Counter, index: list[int]) -> tuple[list[TestLogRecord], list[int]]:
+    """Parse each counted row, whose cells are at `index` as `_cells`
+    takes them, into the records and per-cycle run counts of
+    `parse_input_log`."""
+    records = []
+    run_counts: dict[int, int] = {}
+    for row, count in counts.items():
+        # line 0 stands in: a bad row sends the parse row by row
+        cycle, record = _input_row(0, _cells(row, index), count)
+        run_counts[cycle] = run_counts.get(cycle, 0) + count
+        if record is not None:
+            records.append(record)
+    n_phases = max(run_counts, default=0)
+    return records, [run_counts.get(cycle, 0) for cycle in range(1, n_phases + 1)]
 
 
 def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
@@ -265,36 +255,40 @@ def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     parsing cost grows with the number of distinct such rows, not of rows:
     each distinct defect row gives one record, in first-appearance order,
     whose size is the row's count.  When the header has no other column
-    and no line holds a `"`, distinct lines are counted and csv reads each
-    distinct line once; otherwise rows are counted as csv reads them (see
-    `_counted_rows`).  A bad row is reported at the first physical line
-    that holds it.
+    and no line holds a `"` (a quote can join lines into one row), the
+    distinct lines are counted, and csv reads each distinct line once and
+    skips it if blank; otherwise rows are counted as csv reads them.  A
+    table the counted pass cannot key (a short row, a blank key, a bad
+    cell or a csv error) is read row by row, counting rows by their
+    trimmed cells and checking each distinct row at its first line, so a
+    bad row is reported at the first physical line that holds it.
     """
     lines = _lines(source)
     reader, index, width = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
-    records = []
-    run_counts: dict[int, int] = {}
+    read = [i for i in index if i >= 0]
+    key = itemgetter(*read)
+    lines_seen = Counter(lines[reader.line_num:]) if len(read) == width else Counter()
     try:
-        counts, index = _counted_rows(lines, reader, index, width)
-        for row, count in counts.items():
-            if _blank(row):
-                continue
-            # line 0 stands in until the error path below finds the line
-            cycle, record = _input_row(0, _cells(row, index), count)
-            run_counts[cycle] = run_counts.get(cycle, 0) + count
-            if record is not None:
-                records.append(record)
-    except (csv.Error, RowError) as exc:
-        error = exc
-    else:
-        n_phases = max(run_counts, default=0)
-        return records, [run_counts.get(cycle, 0) for cycle in range(1, n_phases + 1)]
-    # The counted pass cannot tell which line a bad row is on.  The same
-    # checks made row by row raise the error of the first bad physical
-    # line, or the csv error if no bad row comes before it.
+        if lines_seen and not any('"' in line for line in lines_seen):
+            counts = Counter()
+            # without a quote, csv reads each line as one row
+            for row, n in zip(csv.reader(lines_seen, reader.dialect), lines_seen.values()):
+                if not _blank(row):
+                    counts[key(row)] += n
+        else:
+            counts = Counter(map(key, filter(None, reader)))
+        return _tally(counts, [read.index(i) if i >= 0 else -1 for i in index])
+    except (IndexError, csv.Error, RowError):
+        # a short row, a blank key or a bad row, on a line the counted
+        # pass cannot name
+        pass
+    counts = Counter()
     for line_no, cells in _rows(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS):
-        _input_row(line_no, cells, 1)
-    raise error
+        row = tuple(cells)
+        if row not in counts:
+            _input_row(line_no, cells, 1)
+        counts[row] += 1
+    return _tally(counts, list(range(len(index))))
 
 
 def parse_detections(source) -> dict[int, dict[int, int]]:

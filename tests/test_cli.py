@@ -495,6 +495,34 @@ class TestIngestBadInput:
         assert code == 1
         assert "phase 2" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--data", "{table}", "--runs", "5"],
+            ["fit", "--data", "{table}", "--per-input"],
+            ["baseline", "--detections", "{table}", "--config", "{config}"],
+        ],
+        ids=["ingest", "fit-per-input", "baseline"],
+    )
+    def test_not_utf8_exits_1_with_line(self, capsys, tmp_path, argv):
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"cycle,defect_id,size\n1,7,13\n2,\xff,4\n")
+        config = tmp_path / "config.json"
+        q = {"q_detect": [0.5], "q_none": 0.5}
+        config.write_text(json.dumps({"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [q]}))
+        code, out, err = run_cli(capsys, *(arg.format(table=table, config=config) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command", ["ingest", "fit"])
+    def test_runs_with_per_input_exits_1(self, capsys, tmp_path, command):
+        # a per-input log's run counts are counted from its rows
+        log = tmp_path / "inputs.csv"
+        log.write_text("cycle,defect_id\n1,3\n1,\n")
+        code, out, err = run_cli(capsys, command, "--data", str(log), "--per-input", "--runs", "99")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --runs cannot be given with --per-input")
+
 
 class TestDetectionTable:
     Q = {"q_detect": [0.5], "q_none": 0.5}
@@ -969,12 +997,16 @@ class TestMalformedDump:
             # F is a sum of integer sizes
             ("iteration,chain,phase,F\n1,0,1,3\n1,0,2,12.5\n",
              "{draws} line 3: column 'F' has non-integer value '12.5'"),
+            ("iteration,chain,phase,F\n1,0,1,\xff\n",
+             "{draws} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 30: "
+             "invalid start byte"),
         ],
-        ids=["short-row", "no-F-column", "not-a-number", "not-an-integer"],
+        ids=["short-row", "no-F-column", "not-a-number", "not-an-integer", "not-utf8"],
     )
     def test_exits_1(self, capsys, tmp_path, text, message):
         draws = tmp_path / "draws.csv"
-        draws.write_text(text)
+        # latin-1 writes each character as one byte, so "\xff" is not UTF-8
+        draws.write_bytes(text.encode("latin-1"))
         code, out, err = run_cli(capsys, "predict", "--totals", "3,2", "--draws", str(draws))
         assert (code, out, err) == (1, "", f"error: {message.format(draws=draws)}\n")
 

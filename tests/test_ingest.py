@@ -188,11 +188,24 @@ def test_unique_input_column_gives_the_same_records():
     records, runs = parse_input_log(plain.encode())
     assert (records, runs) == ([LogRecord(1, 0, 7, 3), LogRecord(2, 0, 9, 1)], [4, 3])
     assert parse_input_log(unique.encode()) == (records, runs)
-    # a whitespace line is short, so whole rows are counted: one record per
-    # distinct row, and the same phase summaries
+    # a whitespace line is short, so the table is read row by row: one
+    # record per distinct row of read cells, and the same phase summaries
     records, runs = parse_input_log((unique + "   \n").encode())
-    assert len(records) == 4 and runs == [4, 3]
+    assert len(records) == 2 and runs == [4, 3]
     assert summarize_phases(records, runs) == summarize_phases(*parse_input_log(plain.encode()))
+
+
+def test_blank_lines_keep_the_counted_pass(monkeypatch):
+    # Every column is read, so blank lines are skipped as their distinct
+    # lines are read, and the table's header is read once.
+    rows = ["1,7", "1,", "1,7", "2,", "2,9", "2,"]
+    plain = "cycle,defect_id\n" + "\n".join(rows) + "\n"
+    blank = "cycle,defect_id\n" + "\n".join(rows[:2] + ["   "] + rows[2:4] + [","] + rows[4:]) + "\n"
+    expected = parse_input_log(plain.encode())
+    table, calls = ingest._table, []
+    monkeypatch.setattr(ingest, "_table", lambda *args: calls.append(args) or table(*args))
+    assert parse_input_log(blank.encode()) == expected
+    assert len(calls) == 1
 
 
 def test_row_blank_only_in_read_columns_is_an_error():
@@ -330,6 +343,15 @@ def test_parse_detections():
 def test_parse_detections_rejects(text, error, message):
     with pytest.raises(error, match=message):
         parse_detections(io.StringIO(text))
+
+
+@pytest.mark.parametrize("parse", [parse_test_log, parse_input_log, parse_detections])
+def test_not_utf8_names_its_line(parse):
+    text = b"cycle,defect_id,size\r\n1,7,13\r\n2,\xff,4\r\n"
+    with pytest.raises(RowError, match="^line 3: not UTF-8: .* byte 0xff"):
+        parse(text)
+    with pytest.raises(RowError, match="^line 2: not UTF-8"):
+        parse(codecs.BOM_UTF8 + b"cycle,defect_id,size\n\xfe")
 
 
 @pytest.mark.parametrize("parse", [parse_test_log, parse_input_log])
