@@ -4,8 +4,11 @@ total eventual size contains the simulated truth.
 
 Each scenario draws latent sizes, run counts and observed sizes; the fit
 receives the scenario's true trial counts and a detection-rate prior
-matched to the scenario's t law.  Prints one row per scenario batch and
-a final coverage summary.
+matched to the scenario's t law.  Prints one row per scenario batch, a
+final coverage summary and the rank fifths: each true total's mid-rank
+among its phase's pooled draws (draws below it, plus half the draws equal
+to it), as a share of the draws, counted in fifths.  A calibrated fit puts
+about as many true totals in each fifth; 95% coverage can hide a skew.
 """
 
 import argparse
@@ -29,6 +32,7 @@ def main() -> int:
     args = parser.parse_args()
 
     covered = total = skipped = 0
+    fifths = [0] * 5
     start = time.time()
     for i in range(args.scenarios):
         phases = 2 + (i % 2)
@@ -61,6 +65,10 @@ def main() -> int:
         ]
         covered += sum(hits)
         total += len(hits)
+        for column, true_total in zip(zip(*posterior.F_draws), truth.per_phase_totals):
+            below = sum(F < true_total for F in column)
+            ties = sum(F == true_total for F in column)
+            fifths[min(int(5 * (below + ties / 2) / len(column)), 4)] += 1
         print(f"scenario {i:3d}: {sum(hits)}/{len(hits)} phases covered")
 
     print("-" * 40)
@@ -69,6 +77,7 @@ def main() -> int:
             f"coverage {covered}/{total} = {covered / total:.3f} "
             f"(skipped {skipped}) in {time.time() - start:.0f}s"
         )
+        print(f"rank fifths {' / '.join(map(str, fifths))}")
     return 0
 
 

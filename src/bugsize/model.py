@@ -4,6 +4,7 @@ Latent quantities, per testing phase j with bugs i = 1..m_j:
 
 * ``S_ij`` -- eventual size of a bug (inputs that would ever traverse it),
   with prior ``Binomial(n_ij, t_ij)`` reweighted proportionally to size.
+* ``t_ij`` -- a bug's detectability, ``Beta(a_ij, b_ij)``.
 * ``p_j`` -- per-run detection-side probability, ``Beta(alpha_j, beta_j)``
   with the Beta moments themselves drawn from uniform hyperpriors.
 * ``n_j = N_j - N_{j-1}`` -- the runs of phase j (``N`` cumulative,
@@ -22,6 +23,29 @@ the stopping rule to say "stop": the reference totals 34 007, 36 157,
 law, r_k = C_k - sum_{i<k} C_i on the cumulative totals C, ruled such
 histories out (at those totals r_4 < 0); on the first two phases the two
 laws coincide, since r_1 = C_1 = F_1 and r_2 = C_2 - C_1 = F_2.
+
+Collapsed terms.  Both t_ij ~ Beta(a_ij, b_ij) and p_j ~ Beta(alpha_j,
+beta_j) are conjugate, so they integrate out in closed form and the
+posterior of S given the trial counts is a product of two kinds of term
+(Liu, Wong & Kong 1994, *Biometrika* 81(1), on why integrating out helps a
+Gibbs sampler):
+
+* per bug, `log_bug_term`: the size-biased kernel
+  S C(n, S) t^S (1 - t)^(n - S) integrated against Beta(a, b), which is
+  S C(n, S) B(S + a, n - S + b) / B(a, b), a beta-binomial mass times S;
+* per phase, `log_phase_term`: the run-count mass NB(n_j; F_j, p_j)
+  integrated against Beta(alpha_j, beta_j), which is
+  C(n_j + F_j - 1, n_j) B(n_j + alpha_j, F_j + beta_j) / B(alpha_j, beta_j),
+  a beta-negative-binomial mass.
+
+These are exact marginals, not approximations: the joint density of
+(S, t, p) is the product of the size-biased binomial terms, the run-count
+terms and the Beta priors, and each t_ij and each p_j appears in exactly
+one term, so integrating each out replaces that term by its integral.  The
+marginal of S is therefore the one a Metropolis-within-Gibbs sampler on
+(S, t, p) targets.  Each function drops the factors that do not depend on
+the size it scores, so it is a log density up to a constant in S (or F)
+only while n, a, b (or n_j, alpha_j, beta_j) are fixed.
 
 Everything probabilistic is evaluated in log space; totals in real data
 reach tens of thousands and direct products underflow.
@@ -46,6 +70,8 @@ __all__ = [
     "resolve_for_data",
     "ChainState",
     "log_likelihood",
+    "log_bug_term",
+    "log_phase_term",
     "log_posterior_S_kernel",
 ]
 
@@ -217,18 +243,17 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
 class ChainState:
     """Current draw of one MCMC chain.
 
-    ``S[j][i]``, ``t[j][i]`` and ``n_trials[j][i]`` hold bug i of phase j,
-    ``p[j]`` phase j; ``init_state`` builds them as lists of Python ints
-    and floats.  ``S[j][i]`` must stay within [max(observed size, 1),
-    n_trials]; the sampler's Metropolis step reads only the bug it updates
-    and relies on every other bug keeping these bounds.  Per-phase totals
-    ``F`` are summed on demand, never stored, so direct writes to ``S`` can
-    never leave a stale total.
+    ``S[j][i]`` and ``n_trials[j][i]`` hold bug i of phase j; ``init_state``
+    builds them as lists of Python ints.  t and p are integrated out, so the
+    eventual sizes are the whole chain state once the trial counts are
+    drawn.  ``S[j][i]`` must stay within [max(observed size, 1), n_trials];
+    the sampler's Metropolis step reads only the bug it updates and relies
+    on every other bug keeping these bounds.  Per-phase totals ``F`` are
+    summed on demand, never stored, so direct writes to ``S`` can never
+    leave a stale total.
     """
 
     S: list[list[int]]
-    p: list[float]
-    t: list[list[float]]
     n_trials: list[list[int]]
 
     @property
@@ -272,16 +297,37 @@ def log_likelihood(totals_cumulative, runs_cumulative, p) -> float:
     return fsum(_log_nb(n, r, p_k) + n * log(p_k) for n, r, p_k in zip(runs, F, p))
 
 
-def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=None) -> float:
-    """Unnormalized log posterior of the eventual-size matrix S.
+def log_bug_term(S: int, n: int, a: float, b: float) -> float:
+    """Collapsed per-bug term of eventual size S, 1 <= S <= n, with t
+    integrated out against Beta(a, b).
 
-    The run-count factors enter through the combinatorial and (1-p)
-    terms only (the p^n factor does not involve S): phase k adds
-    log C(n_k + F_k - 1, n_k) + F_k log(1 - p_k), with n_k its runs and
-    F_k its total.  Each bug adds its size-biased binomial term
-    log S + log C(n, S) + S log t + (n - S) log(1-t).  States with any
-    S = 0 have zero mass and return -inf; S above its trial count is a
-    structural violation.
+    log S + log C(n, S) + log B(S + a, n - S + b), less lgamma(n + 1) and
+    -lgamma(n + a + b), which do not depend on S.
+    """
+    return log(S) + lgamma(S + a) + lgamma(n - S + b) - lgamma(S + 1.0) - lgamma(n - S + 1.0)
+
+
+def log_phase_term(F: int, runs: int, alpha: float, beta: float) -> float:
+    """Collapsed per-phase term of a phase total F >= 1 whose phase ran
+    `runs` times, with p integrated out against Beta(alpha, beta).
+
+    lgamma(runs + F) - lgamma(F) + lgamma(F + beta)
+    - lgamma(runs + alpha + F + beta): the log of
+    C(runs + F - 1, runs) B(runs + alpha, F + beta) / B(alpha, beta), less
+    lgamma(runs + alpha) - lgamma(runs + 1) - log B(alpha, beta), which do
+    not depend on F.
+    """
+    return lgamma(runs + F) - lgamma(F) + lgamma(F + beta) - lgamma(runs + alpha + F + beta)
+
+
+def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper: Hyperparams) -> float:
+    """Unnormalized collapsed log posterior of the eventual-size matrix S
+    given the trial counts, with t and p integrated out.
+
+    The sum of every phase's `log_phase_term` at its total F_k and its runs
+    n_k, and every bug's `log_bug_term`; `hyper` must be resolved
+    (`resolve_for_data`).  States with any S = 0 have zero mass and return
+    -inf; S above its trial count is a structural violation.
     """
     for j, (S_row, n_row) in enumerate(zip(state.S, state.n_trials)):
         if any(S > n for S, n in zip(S_row, n_row)):
@@ -292,11 +338,7 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper=No
         return -math.inf
 
     runs = _increments([s.runs_cumulative for s in data], "runs", strict=False)
-    terms = list(map(_log_nb, runs, state.F, state.p))
-    for S_row, n_row, t_row in zip(state.S, state.n_trials, state.t):
-        for S, n, t in zip(S_row, n_row, t_row):
-            S = float(S)
-            n = float(n)
-            terms += (log(S), lgamma(n + 1.0), -lgamma(S + 1.0), -lgamma(n - S + 1.0))
-            terms += (S * log(t), (n - S) * log1p(-t))
+    terms = list(map(log_phase_term, state.F, runs, hyper.alpha_hat, hyper.beta_hat))
+    for rows in zip(state.S, state.n_trials, hyper.a, hyper.b):
+        terms += map(log_bug_term, *rows)
     return fsum(terms)

@@ -1,27 +1,44 @@
-"""Metropolis-within-Gibbs sampler for per-phase eventual bug-size totals.
+"""Collapsed Metropolis sampler for per-phase eventual bug-size totals.
 
-Each sweep updates every S_ij by an independence Metropolis step with a
-Poisson(max(s_ij, 1)) proposal, s_ij being the observed size, then every
-t_ij and every p_j from their conjugate Beta conditionals.  A Metropolis
-step costs O(1): under the model's run-count law a move of S_ij changes
-only bug (i, j)'s own term and phase j's negative-binomial term, whose
-size parameter is the phase total F_j.  The sampler is pure Python: a
-chain's state and per-bug priors are Python numbers, and the retained
-draws and their summaries and diagnostics are lists.  Every mean, variance
-and autocovariance is an exactly rounded sum (``math.fsum``), so a report
-does not depend on how an interpreter's built-in ``sum`` adds floats.
+t and p are integrated out (`model`: each t_ij and each p_j has a
+conjugate Beta prior), so once a chain has drawn its trial counts its
+whole state is the eventual-size matrix S, and it samples the marginal
+posterior of S: the one a Metropolis-within-Gibbs sampler over (S, t, p)
+targets, without a Beta draw.  Each sweep updates every S_ij in turn by an
+independence Metropolis step with a Poisson(max(s_ij, 1)) proposal, s_ij
+being the observed size; proposals below that floor or above the trial
+count are rejected outright.  The log acceptance ratio is the change in
+the two collapsed terms a move touches, bug (i, j)'s `model.log_bug_term`
+and phase j's `model.log_phase_term`, whose total F_j moves by the step,
+plus the proposal's ratio; so a step costs O(1) whatever the number of
+bugs and phases.  The sweep fuses the step into one loop: it computes each
+bug's constants and Poisson set-up once per chain and carries every bug's
+and every phase's current term between proposals, so a proposal evaluates
+each term once, at the proposed value.  `mh_log_alpha` and `mh_update_S`
+are the same step for one bug, scored from scratch.
+
+The sampler is pure Python: a chain's state and per-bug priors are Python
+numbers, and the retained draws and their summaries and diagnostics are
+lists.  Every mean, variance and autocovariance is an exactly rounded sum
+(``math.fsum``), so a report does not depend on how an interpreter's
+built-in ``sum`` adds floats.
 
 Random source.  Chains run one after another, and chain c of a run seeded
 with ``seed`` draws from its own ``random.Random``, seeded with a string
 that names the chain, ``seed`` and c (`chain_rng`).  Equal seeds therefore
 reproduce every chain, and no two chains, nor the hyperprior draw of
 ``model.sample_hyper``, share a stream.  Trial counts are drawn with
-``choices``, acceptance uniforms with ``random()`` and the t and p
-conditionals with ``betavariate``.  A Poisson proposal uses numpy's two
-methods (`poisson`): below lam = 10 it multiplies uniforms until the product
-falls to exp(-lam); from lam = 10 it uses the transformed rejection method
-PTRS (Hörmann 1993, *The transformed rejection method for generating
-Poisson random variables*, Insurance: Math. Econ. 12).
+``choices``, first, and acceptance uniforms with ``random()``.  A Poisson
+proposal uses numpy's two methods (`poisson_sampler`): below lam = 10 it
+multiplies uniforms until the product falls to exp(-lam); from lam = 10 it
+uses the transformed rejection method PTRS (Hörmann 1993, *The transformed
+rejection method for generating Poisson random variables*, Insurance:
+Math. Econ. 12).
+
+`gibbs_update_t` and `gibbs_update_p` draw t and p from their conjugate
+conditionals.  Nothing in the package calls them: they stay because
+``bench/run.py`` traces their names, and acceptance criterion 2 tests
+them.
 """
 
 from __future__ import annotations
@@ -29,15 +46,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from math import exp, floor, fsum, lgamma, log, log1p, sqrt
+from collections.abc import Callable
+from math import exp, floor, fsum, lgamma, log, sqrt
 from operator import mul
 
 from .ingest import PhaseSummary
 from .model import (
     ChainState,
     Hyperparams,
+    log_bug_term,
     log_likelihood,  # noqa: F401 -- not called: bench/run.py traces this name
-    log_posterior_S_kernel,  # noqa: F401 -- not called: the reference mh_log_alpha must match
+    log_phase_term,
+    log_posterior_S_kernel,  # noqa: F401 -- not called: bench/run.py traces this name
     resolve_for_data,
     sample_n_trials,
 )
@@ -48,6 +68,7 @@ __all__ = [
     "ChainDiagnostics",
     "PosteriorSummary",
     "chain_rng",
+    "poisson_sampler",
     "poisson",
     "gibbs_update_p",
     "gibbs_update_t",
@@ -61,8 +82,8 @@ __all__ = [
 ]
 
 
-# Every probability the chain holds, t_ij and p_j, is kept inside
-# [EPSILON_FLOOR, 1 - EPSILON_FLOOR] so that its logarithms stay finite.
+# Every t and p draw is kept inside [EPSILON_FLOOR, 1 - EPSILON_FLOOR] so
+# that its logarithms stay finite.
 EPSILON_FLOOR = 1e-12
 _CEILING = 1.0 - EPSILON_FLOOR
 
@@ -172,43 +193,59 @@ def chain_rng(seed: int, chain: int) -> random.Random:
     return random.Random(f"bugsize chain {seed} {chain}")
 
 
-def poisson(rng: random.Random, lam: float) -> int:
-    """One Poisson(lam) draw, lam > 0, by numpy's two methods.
+def poisson_sampler(lam: float) -> Callable[[Callable[[], float]], int]:
+    """Poisson(lam) draws, lam > 0, by numpy's two methods, with every
+    constant that depends on lam computed once.
 
-    Below lam = 10, count the uniforms whose running product stays above
+    The returned function takes a source of uniforms on [0, 1), such as a
+    ``random.Random``'s ``random`` method, and makes one draw.  Below
+    lam = 10, it counts the uniforms whose running product stays above
     exp(-lam).  From lam = 10, Hörmann's PTRS: a transformed-rejection draw
     whose hat and squeeze constants follow from sqrt(lam).
     """
     if lam < 10.0:
         limit = exp(-lam)
-        k = 0
-        product = rng.random()
-        while product > limit:
-            k += 1
-            product *= rng.random()
-        return k
+
+        def multiply(uniform: Callable[[], float]) -> int:
+            k = 0
+            product = uniform()
+            while product > limit:
+                k += 1
+                product *= uniform()
+            return k
+
+        return multiply
     slam = sqrt(lam)
     loglam = log(lam)
     b = 0.931 + 2.53 * slam
     a = -0.059 + 0.02483 * b
     log_invalpha = log(1.1239 + 1.1328 / (b - 3.4))
     vr = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        U = rng.random() - 0.5
-        V = rng.random()
-        us = 0.5 - abs(U)
-        if us == 0.0:  # U = -0.5 sends k to -inf, which numpy rejects
-            continue
-        k = floor((2.0 * a / us + b) * U + lam + 0.43)
-        if us >= 0.07 and V <= vr:
-            return k
-        if k < 0 or (us < 0.013 and V > us):
-            continue
-        # log(0) = -inf always accepts
-        if V == 0.0 or log(V) + log_invalpha - log(a / (us * us) + b) <= (
-            -lam + k * loglam - lgamma(k + 1.0)
-        ):
-            return k
+
+    def ptrs(uniform: Callable[[], float]) -> int:
+        while True:
+            U = uniform() - 0.5
+            V = uniform()
+            us = 0.5 - abs(U)
+            if us == 0.0:  # U = -0.5 sends k to -inf, which numpy rejects
+                continue
+            k = floor((2.0 * a / us + b) * U + lam + 0.43)
+            if us >= 0.07 and V <= vr:
+                return k
+            if k < 0 or (us < 0.013 and V > us):
+                continue
+            # log(0) = -inf always accepts
+            if V == 0.0 or log(V) + log_invalpha - log(a / (us * us) + b) <= (
+                -lam + k * loglam - lgamma(k + 1.0)
+            ):
+                return k
+
+    return ptrs
+
+
+def poisson(rng: random.Random, lam: float) -> int:
+    """One Poisson(lam) draw, lam > 0, from `rng` (`poisson_sampler`)."""
+    return poisson_sampler(lam)(rng.random)
 
 
 def _clamped_beta(rng: random.Random, a: float, b: float) -> float:
@@ -257,8 +294,15 @@ def gibbs_update_t(
     return _clamped_beta(rng, a, b)
 
 
+def _bug_log_ratio(S: int, n: int, a: float, b: float, log_lam: float) -> float:
+    """A bug's collapsed term at S over the Poisson proposal's mass at S,
+    in logs, up to a constant: the proposal's log S! cancels the term's."""
+    return log_bug_term(S, n, a, b) + lgamma(S + 1.0) - S * log_lam
+
+
 def mh_log_alpha(
     state: ChainState,
+    hyper: Hyperparams,
     data: list[PhaseSummary],
     i: int,
     j: int,
@@ -268,18 +312,18 @@ def mh_log_alpha(
     """Log acceptance ratio of an independence Poisson proposal for S_ij.
 
     log alpha = kernel(S') - kernel(S) + [S log lam - log S!]
-    - [S' log lam - log S'!], where the proposal rate lam = max(s_ij, 1)
-    is also the floor S' must reach.  The kernel difference is computed in
-    O(1) from the two terms the move touches: bug (i, j)'s own size-biased
-    binomial term, whose log S! cancels the proposal's, and phase j's
-    negative-binomial term, whose size parameter F_j moves by
-    delta = S' - S.  No other bug or phase is read; the other bugs are
+    - [S' log lam - log S'!], where the kernel is the collapsed one
+    (``model.log_posterior_S_kernel``) and the proposal rate
+    lam = max(s_ij, 1) is also the floor S' must reach.  The kernel
+    difference is computed in O(1) from the two terms the move touches:
+    bug (i, j)'s `log_bug_term` and phase j's `log_phase_term`, whose total
+    F_j moves by S' - S.  No other bug or phase is read; the other bugs are
     taken to satisfy the ChainState bounds.  Proposals below the observed
     size, below 1 or above the trial count are rejected outright (-inf).
-    `totals` are the per-phase totals of ``state.S`` (``state.F``).
+    `hyper` is resolved (`resolve_for_data`); `totals` are the per-phase
+    totals of ``state.S`` (``state.F``).
     """
-    s = data[j].observed_sizes[i]
-    lam = s if s > 1 else 1  # max(s, 1), without the call on the hot path
+    lam = max(data[j].observed_sizes[i], 1)
     n = state.n_trials[j][i]
     if proposed < lam or proposed > n:
         return -math.inf
@@ -289,18 +333,16 @@ def mh_log_alpha(
     if current > n:
         raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
-    delta = proposed - current
-    F = totals[j]
-    runs = _phase_runs(data, j)
-    t = state.t[j][i]
-    out = log(proposed / current) + lgamma(n - current + 1.0) - lgamma(n - proposed + 1.0)
-    out += delta * (log(t / ((1.0 - t) * lam)) + log1p(-state.p[j]))
-    out += lgamma(runs + F + delta) - lgamma(F + delta) - lgamma(runs + F) + lgamma(F)
-    return out
+    a, b, log_lam = hyper.a[j][i], hyper.b[j][i], log(lam)
+    runs, alpha, beta, F = _phase_runs(data, j), hyper.alpha_hat[j], hyper.beta_hat[j], totals[j]
+    return (_bug_log_ratio(proposed, n, a, b, log_lam) - _bug_log_ratio(current, n, a, b, log_lam)) + (
+        log_phase_term(F + proposed - current, runs, alpha, beta) - log_phase_term(F, runs, alpha, beta)
+    )
 
 
 def mh_update_S(
     state: ChainState,
+    hyper: Hyperparams,
     data: list[PhaseSummary],
     i: int,
     j: int,
@@ -309,13 +351,14 @@ def mh_update_S(
 ) -> tuple[int, bool]:
     """One Metropolis step for S_ij; returns (new value, accepted).
 
+    It draws what one step of the sweep in `run_chain` draws: the proposal,
+    then an acceptance uniform only if log alpha is finite and negative.
     `totals` (``state.F``) is passed on to `mh_log_alpha`; the step does
     not change it.
     """
     current = state.S[j][i]
-    s = data[j].observed_sizes[i]
-    proposed = poisson(rng, s if s > 1 else 1)  # Poisson(max(s_ij, 1))
-    log_alpha = mh_log_alpha(state, data, i, j, proposed, totals)
+    proposed = poisson(rng, max(data[j].observed_sizes[i], 1))
+    log_alpha = mh_log_alpha(state, hyper, data, i, j, proposed, totals)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
@@ -326,12 +369,12 @@ def mh_update_S(
 
 
 def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random) -> ChainState:
-    """Build a starting state.
+    """Build a starting state: draw every trial count, then start S at the
+    observed floors max(s_ij, 1).
 
-    S starts at the observed floors max(s_ij, 1), t and p at their prior
-    means.  Every phase must log a bug, so that its total, the size
-    parameter of its run count, is positive; and every sampled trial count
-    must reach its bug's observed size.
+    Every phase must log a bug, so that its total, the size parameter of
+    its run count, is positive; and every sampled trial count must reach
+    its bug's observed size.
     """
     n_trials = []
     for j, summary in enumerate(data):
@@ -350,42 +393,54 @@ def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random)
         n_trials.append(row)
 
     S = [[max(s, 1) for s in summary.observed_sizes] for summary in data]
-
-    def clip(x):
-        return min(max(x, EPSILON_FLOOR), _CEILING)
-
-    t = [[clip(a / (a + b)) for a, b in zip(*rows)] for rows in zip(hyper.a, hyper.b)]
-    p = [clip(a / (a + b)) for a, b in zip(hyper.alpha_hat, hyper.beta_hat)]
-    return ChainState(S=S, p=p, t=t, n_trials=n_trials)
+    return ChainState(S=S, n_trials=n_trials)
 
 
 def _run_single_chain(data, hyper, config, chain):
+    """One chain: the step of `mh_update_S` for every bug in turn, each
+    sweep, with each bug's constants and current `_bug_log_ratio`, and each
+    phase's total and current `log_phase_term`, carried between proposals."""
     rng = chain_rng(config.seed, chain)
     state = init_state(data, hyper, rng)
-    m = len(data)
-    n_bugs = [s.distinct_bugs for s in data]
+    uniform = rng.random
+    F = state.F
+    phases, ratios, terms = [], [], []
+    for j, summary in enumerate(data):
+        runs, alpha, beta = _phase_runs(data, j), hyper.alpha_hat[j], hyper.beta_hat[j]
+        bugs, ratio_row = [], []
+        for s, S, n, a, b in zip(
+            summary.observed_sizes, state.S[j], state.n_trials[j], hyper.a[j], hyper.b[j]
+        ):
+            lam = max(s, 1)
+            log_lam = log(lam)
+            bugs.append((poisson_sampler(lam), lam, n, a, b, log_lam))
+            ratio_row.append(_bug_log_ratio(S, n, a, b, log_lam))
+        phases.append((bugs, runs, alpha, beta))
+        ratios.append(ratio_row)
+        terms.append(log_phase_term(F[j], runs, alpha, beta))
 
     draws = []
-    accept_counts = [[0] * n for n in n_bugs]
-    # Per-phase totals of state.S, moved with every accepted S step so the
-    # updates need not sum the state.
-    F = state.F
-
+    accept_counts = [[0] * s.distinct_bugs for s in data]
     for it in range(config.iterations):
-        for j in range(m):
-            S_row = state.S[j]
-            for i in range(n_bugs[j]):
-                new_S, accepted = mh_update_S(state, data, i, j, rng, F)
-                if accepted:
-                    F[j] += new_S - S_row[i]
-                    S_row[i] = new_S
-                    accept_counts[j][i] += 1
-        for j in range(m):
-            t_row = state.t[j]
-            for i in range(n_bugs[j]):
-                t_row[i] = gibbs_update_t(state, hyper, i, j, rng)
-        for j in range(m):
-            state.p[j] = gibbs_update_p(hyper, data, j, rng, F)
+        for j, (bugs, runs, alpha, beta) in enumerate(phases):
+            S_row, ratio_row, counts = state.S[j], ratios[j], accept_counts[j]
+            total, term = F[j], terms[j]
+            for i, (draw, lam, n, a, b, log_lam) in enumerate(bugs):
+                proposed = draw(uniform)
+                if proposed < lam or proposed > n:
+                    continue
+                current = S_row[i]
+                if proposed == current:
+                    counts[i] += 1
+                    continue
+                new_ratio = _bug_log_ratio(proposed, n, a, b, log_lam)
+                new_total = total + proposed - current
+                new_term = log_phase_term(new_total, runs, alpha, beta)
+                log_alpha = (new_ratio - ratio_row[i]) + (new_term - term)
+                if log_alpha >= 0.0 or uniform() < exp(log_alpha):
+                    S_row[i], ratio_row[i], total, term = proposed, new_ratio, new_total, new_term
+                    counts[i] += 1
+            F[j], terms[j] = total, term
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             draws.append(list(F))

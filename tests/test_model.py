@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from bugsize.ingest import PhaseSummary
 from bugsize.model import (
     ChainState,
+    Hyperparams,
+    log_bug_term,
     log_likelihood,
+    log_phase_term,
     log_posterior_S_kernel,
     resolve_for_data,
     sample_hyper,
@@ -171,84 +175,126 @@ class TestLogLikelihood:
 
 def _two_bug_instance():
     data = [PhaseSummary(1, 3, {7: 2}), PhaseSummary(2, 7, {9: 1})]
-    state = ChainState(
-        S=[np.array([3]), np.array([2])],
-        p=np.array([0.4, 0.6]),
-        t=[np.array([0.5]), np.array([0.3])],
-        n_trials=[np.array([5]), np.array([4])],
-    )
-    return data, state
+    state = ChainState(S=[np.array([3]), np.array([2])], n_trials=[np.array([5]), np.array([4])])
+    hyper = Hyperparams(alpha_hat=[2.0, 0.6], beta_hat=[1.5, 3.0], a=[[1.2], [2.0]], b=[[0.7], [1.0]])
+    return data, state, hyper
 
 
-def _brute_kernel_product(S_rows, t_rows, n_rows, p, N):
-    """The kernel as a product: phase k's negative-binomial factor has its
-    own total as size and its own runs N_k - N_{k-1} as count."""
+def _beta(x, y):
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+
+def _brute_kernel_product(S_rows, n_rows, hyper, N):
+    """The collapsed kernel as a product of the integrals over t and p:
+    phase k's runs N_k - N_{k-1} have the beta-negative-binomial mass of
+    its own total, and each bug adds S times its beta-binomial mass."""
     r = [sum(row) for row in S_rows]
     runs = np.diff(N, prepend=0)
     out = 1.0
     for k in range(len(r)):
-        out *= math.comb(int(runs[k] + r[k] - 1), int(runs[k])) * (1 - p[k]) ** r[k]
-    for S_row, t_row, n_row in zip(S_rows, t_rows, n_rows):
-        for S, t, n in zip(S_row, t_row, n_row):
-            out *= S * math.comb(n, S) * t**S * (1 - t) ** (n - S)
+        alpha, beta = hyper.alpha_hat[k], hyper.beta_hat[k]
+        out *= math.comb(int(runs[k] + r[k] - 1), int(runs[k])) * _beta(runs[k] + alpha, r[k] + beta) / _beta(alpha, beta)
+    for S_row, n_row, a_row, b_row in zip(S_rows, n_rows, hyper.a, hyper.b):
+        for S, n, a, b in zip(S_row, n_row, a_row, b_row):
+            out *= S * math.comb(n, S) * _beta(S + a, n - S + b) / _beta(a, b)
     return out
 
 
 class TestPosteriorKernel:
     def test_difference_matches_brute_force_ratio(self):
-        data, state = _two_bug_instance()
-        k_a = log_posterior_S_kernel(state, data)
-        state_b = ChainState(
-            S=[np.array([2]), np.array([4])],
-            p=state.p,
-            t=state.t,
-            n_trials=state.n_trials,
-        )
-        k_b = log_posterior_S_kernel(state_b, data)
-        brute_a = _brute_kernel_product([[3], [2]], [[0.5], [0.3]], [[5], [4]], [0.4, 0.6], [3, 7])
-        brute_b = _brute_kernel_product([[2], [4]], [[0.5], [0.3]], [[5], [4]], [0.4, 0.6], [3, 7])
+        data, state, hyper = _two_bug_instance()
+        k_a = log_posterior_S_kernel(state, data, hyper)
+        state_b = ChainState(S=[np.array([2]), np.array([4])], n_trials=state.n_trials)
+        k_b = log_posterior_S_kernel(state_b, data, hyper)
+        brute_a = _brute_kernel_product([[3], [2]], [[5], [4]], hyper, [3, 7])
+        brute_b = _brute_kernel_product([[2], [4]], [[5], [4]], hyper, [3, 7])
         assert k_a - k_b == pytest.approx(math.log(brute_a / brute_b), rel=1e-10)
 
     def test_zero_size_annihilates(self):
-        data, state = _two_bug_instance()
+        data, state, hyper = _two_bug_instance()
         state.S[1][0] = 0
-        assert log_posterior_S_kernel(state, data) == -math.inf
+        assert log_posterior_S_kernel(state, data, hyper) == -math.inf
 
     def test_size_above_trials_rejected(self):
-        data, state = _two_bug_instance()
+        data, state, hyper = _two_bug_instance()
         state.S[0][0] = 6
         with pytest.raises(ValueError, match="exceeds"):
-            log_posterior_S_kernel(state, data)
+            log_posterior_S_kernel(state, data, hyper)
 
     def test_monotone_in_t_at_full_size(self):
+        # with t integrated out, the weight of full size S = n against
+        # S = n - 1 grows with the prior mean a / (a + b) of t
         data = [PhaseSummary(1, 3, {7: 2})]
         previous = -math.inf
-        for t in (0.2, 0.4, 0.6, 0.8, 0.95):
-            state = ChainState(
-                S=[np.array([5])],
-                p=np.array([0.5]),
-                t=[np.array([t])],
-                n_trials=[np.array([5])],
+        for a in (0.25, 0.7, 1.5, 4.0, 19.0):  # prior means 0.2 .. 0.95 at b = 1
+            hyper = Hyperparams(alpha_hat=[1.0], beta_hat=[1.0], a=[[a]], b=[[1.0]])
+            full, short = (
+                log_posterior_S_kernel(ChainState(S=[np.array([S])], n_trials=[np.array([5])]), data, hyper)
+                for S in (5, 4)
             )
-            value = log_posterior_S_kernel(state, data)
-            assert value > previous
-            previous = value
+            assert full - short > previous
+            previous = full - short
 
     def test_shrinking_totals_match_brute_force_ratio(self):
         # per-phase totals (5, 6, 2), then (5, 6, 4): phase 3 shrinks below
         # phase 1 in both states, and both have positive mass
         data = [PhaseSummary(j, 3 * j, {j: 2}) for j in (1, 2, 3)]
-        t, n, p, N = [[0.5], [0.4], [0.3]], [[8]] * 3, [0.5, 0.6, 0.7], [3, 6, 9]
+        n, N = [[8]] * 3, [3, 6, 9]
+        hyper = Hyperparams(
+            alpha_hat=[1.0, 2.0, 0.5], beta_hat=[1.0, 1.5, 2.5], a=[[1.0], [0.8], [3.0]], b=[[2.0], [1.0], [1.3]]
+        )
 
         def state(S_3):
-            return ChainState(S=[[5], [6], [S_3]], p=p, t=t, n_trials=n)
+            return ChainState(S=[[5], [6], [S_3]], n_trials=n)
 
-        k_a = log_posterior_S_kernel(state(2), data)
-        k_b = log_posterior_S_kernel(state(4), data)
+        k_a = log_posterior_S_kernel(state(2), data, hyper)
+        k_b = log_posterior_S_kernel(state(4), data, hyper)
         assert math.isfinite(k_a) and math.isfinite(k_b)
-        brute_a = _brute_kernel_product([[5], [6], [2]], t, n, p, N)
-        brute_b = _brute_kernel_product([[5], [6], [4]], t, n, p, N)
+        brute_a = _brute_kernel_product([[5], [6], [2]], n, hyper, N)
+        brute_b = _brute_kernel_product([[5], [6], [4]], n, hyper, N)
         assert k_a - k_b == pytest.approx(math.log(brute_a / brute_b), rel=1e-10)
+
+
+class TestCollapsedTerms:
+    """Each collapsed term is the integral of the uncollapsed term against
+    its Beta prior, computed by quadrature, once the constants the term
+    drops are added back.  The Beta density's algebraic factor
+    x^(shape - 1) (1 - x)^(shape - 1) is quad's weight (QAWS), so shapes
+    below 1, whose densities are unbounded at an end, integrate as
+    accurately as the rest."""
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.4, 2.5), (3.0, 0.6), (5.3, 4.2)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    def test_bug_term_integrates_t_out(self, n, a, b):
+        log_beta_ab = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        worst = 0.0
+        for S in range(1, n + 1):
+            # S C(n, S) t^S (1 - t)^(n - S) times the Beta(a, b) density
+            integral, _ = quad(
+                lambda t: S * math.comb(n, S) * t**S * (1.0 - t) ** (n - S) / math.exp(log_beta_ab),
+                0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0), epsabs=0.0, epsrel=1e-12,
+            )
+            dropped = math.lgamma(n + 1.0) - math.lgamma(n + a + b) - log_beta_ab
+            collapsed = math.exp(log_bug_term(S, n, a, b) + dropped)
+            worst = max(worst, abs(collapsed - integral) / integral)
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.3, 2.0), (2.5, 0.7), (6.0, 9.0)])
+    @pytest.mark.parametrize("runs", [0, 1, 7, 60])
+    def test_phase_term_integrates_p_out(self, runs, alpha, beta):
+        log_beta_ab = math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+        worst = 0.0
+        for F in (1, 2, 3, 10, 45):
+            # NB(runs; F, p) = C(runs + F - 1, runs) p^runs (1 - p)^F times
+            # the Beta(alpha, beta) density
+            integral, _ = quad(
+                lambda p: math.comb(runs + F - 1, runs) * p**runs * (1.0 - p) ** F / math.exp(log_beta_ab),
+                0.0, 1.0, weight="alg", wvar=(alpha - 1.0, beta - 1.0), epsabs=0.0, epsrel=1e-12,
+            )
+            dropped = math.lgamma(runs + alpha) - math.lgamma(runs + 1.0) - log_beta_ab
+            collapsed = math.exp(log_phase_term(F, runs, alpha, beta) + dropped)
+            worst = max(worst, abs(collapsed - integral) / integral)
+        assert worst < 1e-9
 
 
 class TestResolveForData:

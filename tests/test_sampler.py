@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import bugsize.model as model_mod
 import bugsize.sampler as sampler_mod
 from bugsize.ingest import PhaseSummary
 from bugsize.model import (
@@ -52,15 +52,12 @@ class RecordingRng:
         return 0.5
 
 
-def _single_bug_setup(s=3, n=10, N=5, p=0.5, t=0.5, a=1.0, b=1.0):
+def _single_bug_setup(s=3, n=10, N=5, a=1.0, b=1.0, alpha=1.0, beta=1.0):
     data = [PhaseSummary(1, N, {1: s})]
-    hyper = flat_hyperparams(1)
-    hyper.a, hyper.b = a, b
+    hyper = Hyperparams(alpha_hat=[alpha], beta_hat=[beta], a=a, b=b)
     hyper.m_weights = [[np.array([n])]]
     resolved = resolve_for_data(hyper, data)
-    state = ChainState(
-        S=[np.array([s])], p=np.array([p]), t=[np.array([t])], n_trials=[np.array([n])]
-    )
+    state = ChainState(S=[np.array([s])], n_trials=[np.array([n])])
     return data, resolved, state
 
 
@@ -70,20 +67,28 @@ def _three_phase_setup():
         PhaseSummary(2, 25, {3: 2, 4: 1}),
         PhaseSummary(3, 45, {5: 3, 6: 2}),
     ]
-    return data, _three_phase_state()
+    hyper = Hyperparams(
+        alpha_hat=[2.0, 0.7, 3.5],
+        beta_hat=[1.5, 2.5, 0.8],
+        a=[[1.0, 2.5], [0.6, 1.0], [3.0, 1.2]],
+        b=[[1.0, 0.9], [2.0, 1.4], [1.1, 4.0]],
+    )
+    return data, hyper, _three_phase_state()
 
 
 def _three_phase_state():
     # per-phase totals (5, 6, 6), runs per phase (10, 15, 20)
     return ChainState(
         S=[np.array([3, 2]), np.array([4, 2]), np.array([4, 2])],
-        p=np.array([0.4, 0.55, 0.6]),
-        t=[np.array([0.3, 0.6]), np.array([0.5, 0.45]), np.array([0.7, 0.35])],
         n_trials=[np.array([8, 6]), np.array([9, 7]), np.array([10, 6])],
     )
 
 
-def _reference_log_alpha(state, data, i, j, proposed, offset=0.0):
+def _beta(x, y):
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+
+def _reference_log_alpha(state, hyper, data, i, j, proposed, offset=0.0):
     """The acceptance ratio from two full-kernel passes (plus a constant)."""
     current = int(state.S[j][i])
     lam = max(int(data[j].observed_sizes[i]), 1)
@@ -91,9 +96,9 @@ def _reference_log_alpha(state, data, i, j, proposed, offset=0.0):
         return -math.inf
     if proposed == current:
         return 0.0
-    kernel_current = log_posterior_S_kernel(state, data) + offset
+    kernel_current = log_posterior_S_kernel(state, data, hyper) + offset
     state.S[j][i] = proposed
-    kernel_proposed = log_posterior_S_kernel(state, data) + offset
+    kernel_proposed = log_posterior_S_kernel(state, data, hyper) + offset
     state.S[j][i] = current
     if kernel_proposed == -math.inf:
         return -math.inf
@@ -105,10 +110,10 @@ def _reference_log_alpha(state, data, i, j, proposed, offset=0.0):
     return kernel_proposed - kernel_current + correction
 
 
-def _reference_update(state, data, i, j, rng, offset=0.0):
+def _reference_update(state, hyper, data, i, j, rng, offset=0.0):
     current = int(state.S[j][i])
     proposed = sampler_mod.poisson(rng, max(int(data[j].observed_sizes[i]), 1))
-    log_alpha = _reference_log_alpha(state, data, i, j, proposed, offset)
+    log_alpha = _reference_log_alpha(state, hyper, data, i, j, proposed, offset)
     if log_alpha >= 0.0:
         return proposed, True
     if log_alpha == -math.inf:
@@ -123,9 +128,7 @@ class TestGibbsP:
         # N=5, per-phase total 3 gives r=3; alpha=2, beta=4 -> Beta(7, 7)
         data = [PhaseSummary(1, 5, {1: 3})]
         hyper = Hyperparams(alpha_hat=np.array([2.0]), beta_hat=np.array([4.0]))
-        state = ChainState(
-            S=[np.array([3])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([6])]
-        )
+        state = ChainState(S=[np.array([3])], n_trials=[np.array([6])])
         rng = RecordingRng()
         gibbs_update_p(hyper, data, 0, rng, state.F)
         assert rng.calls == [(7.0, 7.0)]
@@ -134,9 +137,7 @@ class TestGibbsP:
         # N=0, r=1, flat hyper -> Beta(1, 2) with mean 1/3
         data = [PhaseSummary(1, 0, {1: 1})]
         hyper = flat_hyperparams(1)
-        state = ChainState(
-            S=[np.array([1])], p=np.array([0.5]), t=[np.array([0.5])], n_trials=[np.array([4])]
-        )
+        state = ChainState(S=[np.array([1])], n_trials=[np.array([4])])
         rng = random.Random(5)
         draws = [gibbs_update_p(hyper, data, 0, rng, state.F) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(1 / 3, abs=0.005)
@@ -182,36 +183,35 @@ class TestGibbsT:
 
 class TestMetropolisStep:
     def test_identity_proposal_always_accepted(self):
-        data, _, state = _single_bug_setup()
-        assert mh_log_alpha(state, data, 0, 0, int(state.S[0][0]), state.F) == 0.0
+        data, hyper, state = _single_bug_setup()
+        assert mh_log_alpha(state, hyper, data, 0, 0, int(state.S[0][0]), state.F) == 0.0
 
     def test_zero_proposal_rejected(self):
-        data, _, state = _single_bug_setup(s=1)
-        assert mh_log_alpha(state, data, 0, 0, 0, state.F) == -math.inf
+        data, hyper, state = _single_bug_setup(s=1)
+        assert mh_log_alpha(state, hyper, data, 0, 0, 0, state.F) == -math.inf
 
     def test_below_observed_floor_rejected(self):
-        data, _, state = _single_bug_setup(s=3)
-        assert mh_log_alpha(state, data, 0, 0, 2, state.F) == -math.inf
+        data, hyper, state = _single_bug_setup(s=3)
+        assert mh_log_alpha(state, hyper, data, 0, 0, 2, state.F) == -math.inf
 
     def test_above_trial_count_rejected(self):
-        data, _, state = _single_bug_setup(s=3, n=10)
-        assert mh_log_alpha(state, data, 0, 0, 11, state.F) == -math.inf
+        data, hyper, state = _single_bug_setup(s=3, n=10)
+        assert mh_log_alpha(state, hyper, data, 0, 0, 11, state.F) == -math.inf
 
     def test_acceptance_matches_direct_ratio(self):
         # brute-force evaluation of the kernel-ratio-times-proposal-correction;
-        # the proposal rate is the observed floor max(s, 1)
-        s, n, N, p, t = 2, 6, 4, 0.55, 0.45
+        # the proposal rate is the observed floor max(s, 1).  The kernel is
+        # the collapsed one, written as the integrals over t and p: the
+        # beta-negative-binomial mass of the runs and S times the
+        # beta-binomial mass of S
+        s, n, N, a, b, alpha, beta = 2, 6, 4, 1.5, 0.8, 2.0, 3.0
         lam = s
-        data, _, state = _single_bug_setup(s=s, n=n, N=N, p=p, t=t)
+        data, hyper, state = _single_bug_setup(s=s, n=n, N=N, a=a, b=b, alpha=alpha, beta=beta)
 
         def kernel_product(S):
             return (
-                math.comb(N + S - 1, N)
-                * (1 - p) ** S
-                * S
-                * math.comb(n, S)
-                * t**S
-                * (1 - t) ** (n - S)
+                math.comb(N + S - 1, N) * _beta(N + alpha, S + beta)
+                * S * math.comb(n, S) * _beta(S + a, n - S + b)
             )
 
         for current in range(s, n + 1):
@@ -225,22 +225,22 @@ class TestMetropolisStep:
                     / (lam**proposed * math.factorial(current))
                 )
                 expected = min(1.0, ratio)
-                log_alpha = mh_log_alpha(state, data, 0, 0, proposed, state.F)
+                log_alpha = mh_log_alpha(state, hyper, data, 0, 0, proposed, state.F)
                 assert math.exp(min(log_alpha, 0.0)) == pytest.approx(expected, rel=1e-12)
 
     def test_accept_reject_invariant_to_kernel_offset(self):
         # 200 decisions of the local-delta step against a reference step that
         # scores each proposal by two full-kernel passes shifted by a constant
-        data, _ = _three_phase_setup()
+        data, hyper, _ = _three_phase_setup()
         fast_state, ref_state = _three_phase_state(), _three_phase_state()
         fast_rng, ref_rng = random.Random(123), random.Random(123)
         bugs = [(i, j) for j, summary in enumerate(data) for i in range(summary.distinct_bugs)]
         fast, ref = [], []
         for step in range(200):
             i, j = bugs[step % len(bugs)]
-            fast.append(mh_update_S(fast_state, data, i, j, fast_rng, fast_state.F))
+            fast.append(mh_update_S(fast_state, hyper, data, i, j, fast_rng, fast_state.F))
             fast_state.S[j][i] = fast[-1][0]
-            ref.append(_reference_update(ref_state, data, i, j, ref_rng, offset=7.31))
+            ref.append(_reference_update(ref_state, hyper, data, i, j, ref_rng, offset=7.31))
             ref_state.S[j][i] = ref[-1][0]
         assert fast == ref
         assert 0 < sum(accepted for _, accepted in fast) < 200
@@ -250,30 +250,34 @@ class TestMetropolisStep:
             raise AssertionError("the Metropolis step evaluated the full kernel")
 
         monkeypatch.setattr(sampler_mod, "log_posterior_S_kernel", forbidden)
-        data, state = _three_phase_setup()
+        data, hyper, state = _three_phase_setup()
         rng = random.Random(8)
         for _ in range(20):
             for j, summary in enumerate(data):
                 for i in range(summary.distinct_bugs):
-                    state.S[j][i] = mh_update_S(state, data, i, j, rng, state.F)[0]
+                    state.S[j][i] = mh_update_S(state, hyper, data, i, j, rng, state.F)[0]
+        run_chain(data, hyper, SamplerConfig(chains=1, iterations=20, burn_in=0, seed=8))
 
     def test_local_ratio_matches_product_kernel_on_three_phases(self):
         # every move of every bug of a 3-phase state whose totals shrink,
-        # (7, 6, 6), scored against the kernel written as a product: phase
-        # k's factor C(n_k + F_k - 1, n_k) (1 - p_k)^F_k reads its own runs
-        # n_k and its own total F_k, so a move in one phase leaves the
-        # other phases' factors alone
-        data, state = _three_phase_setup()
+        # (7, 6, 6), scored against the collapsed kernel written as a
+        # product: phase k's factor C(n_k + F_k - 1, n_k)
+        # B(n_k + alpha_k, F_k + beta_k) reads its own runs n_k and its own
+        # total F_k, so a move in one phase leaves the other phases' factors
+        # alone
+        data, hyper, state = _three_phase_setup()
         state.S[0][0] = 5
         runs = [10, 15, 20]
 
         def product(S):
             out = 1.0
-            for k, (S_row, t_row, n_row) in enumerate(zip(S, state.t, state.n_trials)):
+            for k, (S_row, n_row, a_row, b_row) in enumerate(zip(S, state.n_trials, hyper.a, hyper.b)):
                 F = sum(S_row)
-                out *= math.comb(runs[k] + F - 1, runs[k]) * (1 - state.p[k]) ** F
-                for size, t, n in zip(S_row, t_row, n_row):
-                    out *= size * math.comb(n, size) * t**size * (1 - t) ** (n - size)
+                out *= math.comb(runs[k] + F - 1, runs[k]) * _beta(
+                    runs[k] + hyper.alpha_hat[k], F + hyper.beta_hat[k]
+                )
+                for size, n, a, b in zip(S_row, n_row, a_row, b_row):
+                    out *= size * math.comb(n, size) * _beta(size + a, n - size + b)
             return out
 
         checked = 0
@@ -288,7 +292,7 @@ class TestMetropolisStep:
                         (current - proposed) * math.log(lam)
                         + math.lgamma(proposed + 1) - math.lgamma(current + 1)
                     )
-                    actual = mh_log_alpha(state, data, i, j, proposed, state.F)
+                    actual = mh_log_alpha(state, hyper, data, i, j, proposed, state.F)
                     assert actual == pytest.approx(expected, rel=0, abs=1e-9)
                     checked += 1
         assert checked == 41
@@ -308,19 +312,24 @@ class TestMetropolisStep:
             data.append(PhaseSummary(phase, runs, dict(enumerate(observed))))
             sizes.append(np.array(S_row))
             trials.append(np.array(n_row))
-        unit = st.floats(0.02, 0.98)
-        state = ChainState(
-            S=sizes,
-            p=np.array(draw.draw(st.lists(unit, min_size=phases, max_size=phases))),
-            t=[np.array(draw.draw(st.lists(unit, min_size=len(r), max_size=len(r)))) for r in sizes],
-            n_trials=trials,
+        shape = st.floats(0.05, 20.0)
+
+        def shapes(k):
+            return draw.draw(st.lists(shape, min_size=k, max_size=k))
+
+        hyper = Hyperparams(
+            alpha_hat=shapes(phases),
+            beta_hat=shapes(phases),
+            a=[shapes(len(r)) for r in sizes],
+            b=[shapes(len(r)) for r in sizes],
         )
+        state = ChainState(S=sizes, n_trials=trials)
         j = draw.draw(st.integers(0, phases - 1))
         i = draw.draw(st.integers(0, len(sizes[j]) - 1))
         proposed = draw.draw(st.integers(0, int(trials[j][i]) + 1))
 
-        expected = _reference_log_alpha(state, data, i, j, proposed)
-        actual = mh_log_alpha(state, data, i, j, proposed, state.F)
+        expected = _reference_log_alpha(state, hyper, data, i, j, proposed)
+        actual = mh_log_alpha(state, hyper, data, i, j, proposed, state.F)
         if math.isinf(expected):
             assert actual == expected
         else:
@@ -333,7 +342,8 @@ class TestInitState:
         state = init_state(data, hyper, random.Random(0))
         assert state.S[0] == [3]
         assert state.n_trials[0] == [10]
-        assert state.t[0][0] == pytest.approx(0.5)
+        # t and p are integrated out: the state is S and the trial counts
+        assert set(vars(state)) == {"S", "n_trials"}
 
     def test_shrinking_history_starts_at_observed_floor(self):
         # per-phase totals (5, 6, 2) at the observed floor: the third phase
@@ -383,7 +393,7 @@ class TestInitState:
         for hyper in (given, sample_hyper(2, 3)):
             resolved = resolve_for_data(hyper, data)
             state = init_state(data, resolved, random.Random(0))
-            for field in (resolved.a, resolved.b, state.t, state.p):
+            for field in (resolved.a, resolved.b):
                 assert kinds(field) == {float}
             for field in (resolved.m_weights, state.S, state.n_trials):
                 assert kinds(field) == {int}
@@ -422,42 +432,41 @@ class TestRunChain:
             assert np.all(np.asarray(row) >= 0) and np.all(np.asarray(row) <= 1)
         assert 0.0 <= posterior.acceptance_rate_mean <= 1.0
 
-    def test_carried_totals_match_state_after_every_update(self, monkeypatch):
-        # The sweep hands its running per-phase totals to every S step and
-        # p update.  Each call checks them against the chain's state, so each
-        # S step, accepted or not, is checked by the call after it.
-        calls = {"mh_update_S": 0, "gibbs_update_p": 0}
-        seen = set()
-        states = []
-
-        def capture_state(*args):
-            states.append(init_state(*args))
-            return states[-1]
-
-        def checked(update):
-            def wrapper(*args):
-                totals = inspect.signature(update).bind(*args).arguments["totals"]
-                assert isinstance(totals, list)
-                assert totals == states[-1].F
-                calls[update.__name__] += 1
-                seen.add(tuple(totals))
-                return update(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(sampler_mod, "init_state", capture_state)
-        monkeypatch.setattr(sampler_mod, "mh_update_S", checked(mh_update_S))
-        monkeypatch.setattr(sampler_mod, "gibbs_update_p", checked(gibbs_update_p))
+    def test_carried_totals_match_state_after_every_update(self):
+        # The sweep carries each phase's total, and the collapsed terms at
+        # the current state, from one proposal to the next.  Replaying each
+        # chain's stream through `mh_update_S`, which is handed totals summed
+        # from the state before every step, must give the same decision at
+        # every step: a stale total or term changes an acceptance ratio, and
+        # from then on which uniforms are drawn.  Every sweep is retained,
+        # so the draws are the carried totals after each sweep.
         data = [
             PhaseSummary(1, 10, {1: 1, 2: 2}),
             PhaseSummary(2, 25, {3: 2, 4: 1}),
             PhaseSummary(3, 45, {5: 3, 6: 2}),
         ]
-        config = SamplerConfig(chains=2, iterations=150, burn_in=50, seed=12)
-        run_chain(data, flat_hyperparams(3), config)
-        assert calls == {"mh_update_S": 2 * 150 * 6, "gibbs_update_p": 2 * 150 * 3}
-        assert len(states) == 2
-        assert len(seen) > 10  # the totals did move
+        hyper = resolve_for_data(sample_hyper(3, 12), data)
+        config = SamplerConfig(chains=2, iterations=150, burn_in=0, seed=12)
+        posterior = run_chain(data, hyper, config)
+        rates = []
+        for c in range(config.chains):
+            rng = chain_rng(config.seed, c)
+            state = init_state(data, hyper, rng)
+            replayed, accepted = [], [[0, 0] for _ in data]
+            for _ in range(config.iterations):
+                for j in range(len(data)):
+                    for i in range(2):
+                        new, ok = mh_update_S(state, hyper, data, i, j, rng, state.F)
+                        state.S[j][i] = new
+                        accepted[j][i] += ok
+                replayed.append(state.F)
+            assert posterior.draws[c] == replayed
+            assert len(set(map(tuple, replayed))) > 10  # the totals did move
+            rates.append([[count / config.iterations for count in row] for row in accepted])
+        assert posterior.acceptance == [
+            [fsum(bug) / config.chains for bug in zip(*(chain[j] for chain in rates))]
+            for j in range(len(data))
+        ]
 
     def test_draws_pinned(self):
         # Default trial candidates, a sampled phase prior and a third phase
@@ -471,8 +480,8 @@ class TestRunChain:
         config = SamplerConfig(chains=2, iterations=300, burn_in=60, thin=2, seed=2024)
         posterior = run_chain(data, sample_hyper(3, 5), config)
         digest = hashlib.sha256(repr(posterior.draws).encode()).hexdigest()
-        assert digest == "9be38d95175fb958cf3284c67e58a12f74439f5921595e4599330543038097ec"
-        assert posterior.acceptance_rate_mean == 0.24233333333333335
+        assert digest == "5ff834f5d71fb13314f1f9a2c6b8763ff7d7352c6e5208482dea9b03992c9a14"
+        assert posterior.acceptance_rate_mean == 0.25
 
     def test_chains_draw_from_their_own_streams(self):
         # chain c's draws do not depend on how many chains run beside it
@@ -501,6 +510,40 @@ class TestRunChain:
         streams = {tuple(random.Random(seed).random() for _ in range(3)) for seed in seeds}
         assert len(streams) == 4
         assert chain_rng(11, 2).random() == random.Random(seeds[3]).random()
+
+    def test_no_beta_or_gamma_draw(self, monkeypatch):
+        # t and p are integrated out: a chain draws trial counts, Poisson
+        # proposals and acceptance uniforms only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the chain drew a Beta or Gamma variate")
+
+        monkeypatch.setattr(random.Random, "betavariate", forbidden)
+        monkeypatch.setattr(random.Random, "gammavariate", forbidden)
+        posterior = run_chain(_small_data(), sample_hyper(2, 3), SamplerConfig(chains=2, iterations=200, burn_in=50, seed=6))
+        assert len({tuple(draw) for draw in posterior.F_draws}) > 1
+
+    @pytest.mark.parametrize("bugs", [10, 100])
+    def test_lgamma_calls_per_proposal_do_not_grow_with_bugs(self, monkeypatch, bugs):
+        # Every lgamma the sweep evaluates, counted where it is looked up:
+        # the collapsed terms in `model` and the proposal ratio in `sampler`.
+        # A proposal inside its support evaluates one bug term and one phase
+        # term at the proposed state (5 + 4 calls); the chain's start adds
+        # the same per bug and per phase once.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return math.lgamma(x)
+
+        monkeypatch.setattr(model_mod, "lgamma", counted)
+        monkeypatch.setattr(sampler_mod, "lgamma", counted)
+        data = [
+            PhaseSummary(j, 400 * j, {j * 1000 + i: 1 + i % 5 for i in range(bugs)}) for j in (1, 2)
+        ]
+        config = SamplerConfig(chains=1, iterations=40, burn_in=0, seed=3)
+        run_chain(data, flat_hyperparams(2), config)
+        proposals = config.iterations * 2 * bugs
+        assert 0 < len(calls) / proposals < 9 * (1 + 1 / config.iterations)
 
     def test_nonincreasing_runs_rejected(self):
         data = [PhaseSummary(1, 30, {1: 2}), PhaseSummary(2, 30, {2: 3})]

@@ -26,6 +26,10 @@ def test_calibration_script_runs():
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("phases covered") == 2
     assert "coverage" in done.stdout
+    # one rank per phase total: the 2-phase and the 3-phase scenario
+    (fifths,) = [line for line in done.stdout.splitlines() if line.startswith("rank fifths ")]
+    counts = [int(count) for count in fifths.removeprefix("rank fifths ").split(" / ")]
+    assert len(counts) == 5 and sum(counts) == 5
 
 
 def test_benchmark_traced_names_resolve():
