@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
 from math import fsum, lgamma, log
+from typing import NamedTuple
 
 from .ingest import summarize_phases
 from .model import flat_hyperparams  # noqa: F401 -- not called: bench/run.py traces this name
@@ -45,16 +45,20 @@ class DegenerateUpdateError(RuntimeError):
     """The posterior recursion's denominator became non-positive."""
 
 
-@dataclass(frozen=True)
-class PhaseDetection:
-    """Detected fault counts per class in one phase, with the class
-    detection probabilities and the no-detection probability."""
-
+class _PhaseDetection(NamedTuple):
     counts: tuple[int, ...]
     q_detect: tuple[float, ...]
     q_none: float
 
-    def __post_init__(self) -> None:
+
+class PhaseDetection(_PhaseDetection):
+    """Detected fault counts per class in one phase, with the class
+    detection probabilities and the no-detection probability."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.counts) != len(self.q_detect):
             raise ValueError("one detection probability per fault class is required")
         if any(c < 0 for c in self.counts):
@@ -63,27 +67,33 @@ class PhaseDetection:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(fsum([self.q_none, *self.q_detect]) - 1.0) > 1e-9:
             raise ValueError("q_none plus class detection probabilities must sum to 1")
+        return self
 
     @property
     def total(self) -> int:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class BaselineState:
+class _BaselineState(NamedTuple):
     n_total: int
     p: float
     q: float
     detected_cum: int
     phase: int
 
-    def __post_init__(self) -> None:
+
+class BaselineState(_BaselineState):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_total < 1:
             raise ValueError("n_total must be >= 1")
         if abs(self.p + self.q - 1.0) > 1e-9:
             raise ValueError(f"p + q must equal 1, got {self.p + self.q}")
         if not 0 <= self.detected_cum <= self.n_total:
             raise ValueError("detected_cum must lie in [0, n_total]")
+        return self
 
     @property
     def remaining_pool(self) -> int:
@@ -192,8 +202,7 @@ def phase_log_evidence(state: BaselineState, detection: PhaseDetection) -> float
     return top + math.log(fsum(math.exp(term - top) for term in terms))
 
 
-@dataclass(frozen=True)
-class ComparisonConfig:
+class ComparisonConfig(NamedTuple):
     """Knobs of the comparison protocol."""
 
     q_detect: float = 0.5
@@ -204,8 +213,7 @@ class ComparisonConfig:
     thin: int = 2
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     trials: int
     scored_trials: int
     skipped_trials: int
@@ -216,7 +224,7 @@ class ComparisonReport:
 
     def as_doc(self) -> dict:
         """The report's fields, keyed in declaration order."""
-        return asdict(self)
+        return self._asdict()
 
 
 def _wins(errors_a: list[float], errors_b: list[float]) -> float:
@@ -257,7 +265,8 @@ def compare_models(
         # a 64-bit seed from the trial's own stream; it seeds both the
         # trial's scenario and its chain
         trial_seed = random.Random(f"bugsize compare {seed} {i}").getrandbits(64)
-        trial_scenario = replace(scenario, seed=trial_seed)
+        # built anew rather than by `_replace`, which skips the validation
+        trial_scenario = ScenarioConfig(**{**scenario._asdict(), "seed": trial_seed})
         try:
             log, truth = generate(trial_scenario)
             summaries = summarize_phases(log.records, log.runs_per_phase)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -21,14 +20,13 @@ import types
 import typing
 from pathlib import Path
 
-# Only ingest is imported here; every handler imports the modules it runs,
-# so a command loads only what it needs.  Handlers call through the module
-# (sampler_mod.run_chain) so that a tracer patching the module attribute
-# sees the call.
-from . import ingest as ingest_mod
-
+# No module of the package is imported here: every handler imports the
+# modules it runs, so a command loads only what it needs.  Handlers call
+# through the module (sampler_mod.run_chain) so that a tracer patching the
+# module attribute sees the call.
 if typing.TYPE_CHECKING:
     from .decision import StopDecision
+    from .ingest import PhaseSummary
     from .sampler import PosteriorSummary
 
 __all__ = ["main", "run", "emit_report"]
@@ -68,19 +66,18 @@ class _Mismatch(Exception):
 
 
 def _read_config(cls, raw, where: str):
-    """Build the dataclass ``cls`` from the JSON object ``raw``, with the
-    field annotations as its schema.  Unknown and missing keys and values
-    of the wrong JSON type raise a ValueError naming the key within
+    """Build the record ``cls``, a NamedTuple, from the JSON object ``raw``,
+    with the field annotations as its schema.  Unknown and missing keys and
+    values of the wrong JSON type raise a ValueError naming the key within
     ``where``.  JSON lists become tuples where the field is a tuple; every
     other value passes through unchanged."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be an object, got {json.dumps(raw)}")
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(raw) - set(hints))
+    unknown = sorted(set(raw) - set(cls._fields))
     if unknown:
         raise ValueError(f"{where} has unknown keys: {unknown}")
-    fields = dataclasses.fields(cls)
-    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+    missing = [name for name in cls._fields if name not in cls._field_defaults and name not in raw]
     if missing:
         raise ValueError(f"{where} is missing keys: {missing}")
     values = {}
@@ -96,14 +93,14 @@ def _read_config(cls, raw, where: str):
 def _config_value(value, hint, where: str):
     """``value`` as the field type ``hint`` asks: a number (finite: NaN and
     Infinity are not JSON), an integer (not a bool), null, a list, a
-    fixed-length tuple, a nested dataclass or a union of these.  Raises
+    fixed-length tuple, a nested record or a union of these.  Raises
     _Mismatch if its JSON type does not fit."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         for arm in args:
             with contextlib.suppress(_Mismatch):
                 return _config_value(value, arm, where)
-    elif dataclasses.is_dataclass(hint):
+    elif hasattr(hint, "_fields"):
         return _read_config(hint, value, where)
     elif origin in (list, tuple):
         variadic = origin is list or args[-1] is Ellipsis
@@ -132,7 +129,7 @@ def _describe(hint, plural: bool = False) -> str:
         count = "" if origin is list or args[-1] is Ellipsis else f"{len(args)} "
         return f"{'lists' if plural else 'a list'} of {count}{_describe(args[0], plural=True)}"
     nouns = {int: ("an integer", "integers"), float: ("a number", "numbers"), type(None): ("null", "nulls")}
-    return nouns.get(hint, ("an object", "objects"))[plural]  # else a nested dataclass
+    return nouns.get(hint, ("an object", "objects"))[plural]  # else a nested record
 
 
 def _scenario(raw, seed: int):
@@ -225,7 +222,9 @@ def _data_config(args) -> dict:
     return {"data_sha256": _file_sha256(args.data), "runs": args.runs, "per_input": args.per_input}
 
 
-def _summaries_from_args(args) -> list[ingest_mod.PhaseSummary]:
+def _summaries_from_args(args) -> list[PhaseSummary]:
+    from . import ingest as ingest_mod
+
     if args.per_input:
         if args.runs is not None:
             raise ValueError("--runs cannot be given with --per-input, which counts each phase's runs")
@@ -241,6 +240,8 @@ def _summaries_from_args(args) -> list[ingest_mod.PhaseSummary]:
 # Each handler returns (effective config, report body); run() opens the
 # report with the command, the seed and the effective config's hash.
 def _cmd_ingest(args) -> tuple[dict, dict]:
+    from . import ingest as ingest_mod
+
     summaries = _summaries_from_args(args)
     return _data_config(args), ingest_mod.phase_summary_doc(summaries)
 
@@ -350,8 +351,7 @@ def _totals_from_args(args) -> list[float]:
     raise ValueError("either --totals or --from-report is required")
 
 
-@dataclasses.dataclass(frozen=True)
-class _PredictConfig:
+class _PredictConfig(typing.NamedTuple):
     """The `predict --config` document: one ``[start, end]`` window per total."""
 
     windows: list[tuple[float, float]] | None = None
@@ -454,14 +454,12 @@ def _cmd_decide(args) -> tuple[dict, dict]:
     }
 
 
-@dataclasses.dataclass(frozen=True)
-class _PhaseQ:
+class _PhaseQ(typing.NamedTuple):
     q_detect: list[float]
     q_none: float
 
 
-@dataclasses.dataclass(frozen=True)
-class _BaselineConfig:
+class _BaselineConfig(typing.NamedTuple):
     """The `baseline --config` document, with one `q` entry per phase."""
 
     n_total: int
@@ -472,6 +470,7 @@ class _BaselineConfig:
 
 def _cmd_baseline(args) -> tuple[dict, dict]:
     from . import baseline as baseline_mod
+    from . import ingest as ingest_mod
 
     raw_config = _load_config(args.config, "--config")
     config = _read_config(_BaselineConfig, raw_config, "config")

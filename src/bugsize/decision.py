@@ -1,21 +1,21 @@
 """The epsilon stop-testing rule on per-phase totals.
 
 Like `predictor`, this module runs on the standard library.  It stays a
-module of its own, so that `bugsize decide` does not pay for setting up
-the predictor's dataclasses (about 5 ms).  `predictor` re-exports
-`decide_stop`.
+module of its own, so that `bugsize decide` does not pay for importing
+the predictor: about 5 ms, most of it compiling the module's source,
+which a command started without bytecode caching does each time.
+`predictor` re-exports `decide_stop`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 __all__ = ["StopDecision", "decide_stop"]
 
 
-@dataclass(frozen=True)
-class StopDecision:
+class StopDecision(NamedTuple):
     """Outcome of the epsilon rule: stop after this phase, or keep testing."""
 
     stop_after_phase: int | None

@@ -18,11 +18,10 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "SchemaError",
@@ -49,37 +48,48 @@ class RowError(ValueError):
     """A data row holds a value that cannot be interpreted."""
 
 
-@dataclass(frozen=True)
-class TestLogRecord:
-    """One logged defect observation: `size` inputs went through defect
-    `defect_id` during testing cycle `cycle`."""
-
+class _TestLogRecord(NamedTuple):
     cycle: int
     defect_header: int
     defect_id: int
     size: int
     severity: str | None = None
 
-    def __post_init__(self) -> None:
+
+class TestLogRecord(_TestLogRecord):
+    """One logged defect observation: `size` inputs went through defect
+    `defect_id` during testing cycle `cycle`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cycle < 1:
             raise ValueError(f"cycle must be >= 1, got {self.cycle}")
         if self.size < 0:
             raise ValueError(f"size must be non-negative, got {self.size}")
+        return self
 
 
-@dataclass(frozen=True)
-class PhaseSummary:
+class _PhaseSummary(NamedTuple):
+    phase: int
+    runs_cumulative: int
+    sizes_by_defect: dict[int, int]
+
+
+class PhaseSummary(_PhaseSummary):
     """Aggregated view of one testing phase.
 
     `sizes_by_defect` preserves first-appearance order of defect ids so
-    that downstream array layouts are reproducible.
+    that downstream array layouts are reproducible; it defaults to a new
+    empty dict.  Unlike the other records, a summary keeps an instance
+    dict: it holds the cached `observed_sizes`.
     """
 
-    phase: int
-    runs_cumulative: int
-    sizes_by_defect: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __new__(cls, phase, runs_cumulative, sizes_by_defect=None):
+        if sizes_by_defect is None:
+            sizes_by_defect = {}
+        self = super().__new__(cls, phase, runs_cumulative, sizes_by_defect)
         if self.phase < 1:
             raise ValueError(f"phase must be >= 1, got {self.phase}")
         if self.runs_cumulative < 0:
@@ -87,6 +97,7 @@ class PhaseSummary:
         for defect_id, size in self.sizes_by_defect.items():
             if size < 0:
                 raise ValueError(f"negative size for defect {defect_id}")
+        return self
 
     @property
     def distinct_bugs(self) -> int:
@@ -256,12 +267,13 @@ def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
     each distinct defect row gives one record, in first-appearance order,
     whose size is the row's count.  When the header has no other column
     and no line holds a `"` (a quote can join lines into one row), the
-    distinct lines are counted, and csv reads each distinct line once and
-    skips it if blank; otherwise rows are counted as csv reads them.  A
-    table the counted pass cannot key (a short row, a blank key, a bad
-    cell or a csv error) is read row by row, counting rows by their
-    trimmed cells and checking each distinct row at its first line, so a
-    bad row is reported at the first physical line that holds it.
+    distinct lines are counted, and csv reads each distinct line once;
+    otherwise rows are counted as csv reads them.  Either way blank rows
+    are skipped.  A table the counted pass cannot key (a short row, a
+    blank key, a bad cell or a csv error) is read row by row, counting
+    rows by their trimmed cells and checking each distinct row at its
+    first line, so a bad row is reported at the first physical line that
+    holds it.
     """
     lines = _lines(source)
     reader, index, width = _table(lines, INPUT_COLUMNS, OPTIONAL_COLUMNS)
@@ -276,7 +288,9 @@ def parse_input_log(source) -> tuple[list[TestLogRecord], list[int]]:
                 if not _blank(row):
                     counts[key(row)] += n
         else:
-            counts = Counter(map(key, filter(None, reader)))
+            # skip blank rows as `_rows` does (`_blank`, inlined: a call per
+            # row costs a fifth of this pass)
+            counts = Counter(key(row) for row in reader if "".join(row).strip())
         return _tally(counts, [read.index(i) if i >= 0 else -1 for i in index])
     except (IndexError, csv.Error, RowError):
         # a short row, a blank key or a bad row, on a line the counted

@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from math import fsum, lgamma, log, log1p
+from typing import NamedTuple
 
 from .ingest import PhaseSummary
 
@@ -99,7 +99,6 @@ def solve_beta_hyper(mu: float, sigma2: float) -> tuple[float, float]:
     return alpha, beta
 
 
-@dataclass
 class Hyperparams:
     """Phase-level Beta parameters plus bug-level prior settings.
 
@@ -112,17 +111,21 @@ class Hyperparams:
     Python floats, one per phase.
     """
 
-    alpha_hat: list[float]
-    beta_hat: list[float]
-    a: float | list[list[float]] = 1.0
-    b: float | list[list[float]] = 1.0
-    m_weights: list[list[list[int]]] | None = None
+    __slots__ = ("alpha_hat", "beta_hat", "a", "b", "m_weights")
 
-    def __post_init__(self) -> None:
-        self.alpha_hat = [float(x) for x in self.alpha_hat]
-        self.beta_hat = [float(x) for x in self.beta_hat]
+    def __init__(
+        self,
+        alpha_hat: list[float],
+        beta_hat: list[float],
+        a: float | list[list[float]] = 1.0,
+        b: float | list[list[float]] = 1.0,
+        m_weights: list[list[list[int]]] | None = None,
+    ) -> None:
+        self.alpha_hat = [float(x) for x in alpha_hat]
+        self.beta_hat = [float(x) for x in beta_hat]
         if any(x <= 0 for x in self.alpha_hat + self.beta_hat):
             raise ValueError("alpha_hat and beta_hat must be positive")
+        self.a, self.b, self.m_weights = a, b, m_weights
 
     @property
     def n_phases(self) -> int:
@@ -161,19 +164,24 @@ def sample_n_trials(weights: list[int], rng: random.Random) -> int:
     return rng.choices(weights, weights=weights)[0]
 
 
-@dataclass(frozen=True)
-class HyperConfig:
-    """Raw hyperparameter configuration as read from a config document."""
-
+class _HyperConfig(NamedTuple):
     a: float | list[list[float]] = 1.0
     b: float | list[list[float]] = 1.0
     hyper_seed: int | None = None
     mu: float | list[float] | None = None
     sigma2: float | list[float] | None = None
 
-    def __post_init__(self) -> None:
+
+class HyperConfig(_HyperConfig):
+    """Raw hyperparameter configuration as read from a config document."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.hyper_seed is not None and self.hyper_seed < 0:
             raise ValueError(f"config 'hyper_seed' must be a non-negative integer, got {self.hyper_seed}")
+        return self
 
 
 def build_hyperparams(data: list[PhaseSummary], config: HyperConfig, seed) -> Hyperparams:
@@ -236,10 +244,9 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
         ]
     else:
         m_weights = [[[int(n) for n in w] for w in row] for row in hyper.m_weights]
-    return replace(hyper, a=a, b=b, m_weights=m_weights)
+    return Hyperparams(hyper.alpha_hat, hyper.beta_hat, a, b, m_weights)
 
 
-@dataclass
 class ChainState:
     """Current draw of one MCMC chain.
 
@@ -253,8 +260,10 @@ class ChainState:
     leave a stale total.
     """
 
-    S: list[list[int]]
-    n_trials: list[list[int]]
+    __slots__ = ("S", "n_trials")
+
+    def __init__(self, S: list[list[int]], n_trials: list[list[int]]) -> None:
+        self.S, self.n_trials = S, n_trials
 
     @property
     def F(self) -> list[int]:

@@ -19,9 +19,9 @@ that table.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from math import erf, exp, expm1, fsum, isfinite, nextafter, pi, sqrt
 from operator import mul
+from typing import NamedTuple
 
 from .decision import decide_stop
 
@@ -60,16 +60,20 @@ GRID_FACTORS = (
 )
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
-    """One phase's estimated total size with its event-time window."""
-
+class _PhaseEvent(NamedTuple):
     phase: int
     total_size: float
     window_start: float
     window_end: float
 
-    def __post_init__(self) -> None:
+
+class PhaseEvent(_PhaseEvent):
+    """One phase's estimated total size with its event-time window."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isfinite(self.window_start) and isfinite(self.window_end)):
             raise ValueError(
                 f"phase {self.phase}: window [{self.window_start}, {self.window_end}] "
@@ -83,16 +87,21 @@ class PhaseEvent:
             raise ValueError(f"phase {self.phase}: total size must be finite, got {self.total_size}")
         if self.total_size < 0:
             raise ValueError(f"phase {self.phase}: total size must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class KdeConfig:
+class _KdeConfig(NamedTuple):
     bandwidth: float | str = "auto"
     temporal_rate: float = 1.0
     cv_grid: tuple[float, ...] | None = None
     cv_samples: tuple[float, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class KdeConfig(_KdeConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isfinite(self.temporal_rate):
             raise ValueError(f"temporal_rate must be finite, got {self.temporal_rate}")
         if self.temporal_rate <= 0:
@@ -112,10 +121,10 @@ class KdeConfig:
         # integers keep that table within their value range
         if self.cv_samples is not None and not all(float(x).is_integer() for x in self.cv_samples):
             raise ValueError("cv_samples must hold integers")
+        return self
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Point predictions for the next phase's total, with KDE details."""
 
     mean: float
@@ -204,8 +213,7 @@ def kde_density(s, events: list[PhaseEvent], weights, h: float):
     return density
 
 
-@dataclass(frozen=True)
-class _GapTable:
+class _GapTable(NamedTuple):
     """A sample's pairs of distinct values, tabulated by their gap: for each
     gap, the sum of c_i c_j over the pairs of values that far apart, with c
     a value's count.  `diagonal` is the sum of c^2 over the values."""

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from collections.abc import Callable
 from math import exp, floor, fsum, lgamma, log, sqrt
 from operator import mul
+from typing import NamedTuple
 
 from .ingest import PhaseSummary
 from .model import (
@@ -92,15 +92,19 @@ class InitializationError(RuntimeError):
     """No starting state could be constructed for the chain."""
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class _SamplerConfig(NamedTuple):
     chains: int = 2
     iterations: int = 2000
     burn_in: int = 500
     thin: int = 1
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SamplerConfig(_SamplerConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         if self.iterations < 1:
@@ -109,14 +113,14 @@ class SamplerConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        return self
 
     @property
     def n_retained(self) -> int:
         return len(range(self.burn_in, self.iterations, self.thin))
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
+class ChainDiagnostics(NamedTuple):
     r_hat: float
     ess: float
     degenerate: bool = False
@@ -137,24 +141,38 @@ def _quantile(ordered: list[float], q: float) -> float:
     return a + (b - a) * gamma
 
 
-@dataclass
 class PosteriorSummary:
     """Retained draws of the per-phase eventual-size totals plus summaries.
 
     ``draws[c][k][j]`` is the total of phase j in chain c's k-th retained
-    draw.  The summaries are per phase, over the draws of every chain, and
-    follow numpy's definitions: the mean, the median (the mean of the two
-    middle values for an even count) and the linear-interpolation quantile.
+    draw; ``acceptance[j][i]`` is bug i of phase j's acceptance rate, the
+    mean over chains.  The summaries are per phase, over the draws of every
+    chain, and follow numpy's definitions: the mean, the median (the mean of
+    the two middle values for an even count) and the linear-interpolation
+    quantile.
     """
 
-    draws: list[list[list[int]]]
-    acceptance: list[list[float]]  # per phase, per bug, mean over chains
-    diagnostics: list[ChainDiagnostics] | None
-    chains: int
-    iterations: int
-    burn_in: int
-    thin: int
-    seed: int
+    __slots__ = ("draws", "acceptance", "diagnostics", "chains", "iterations", "burn_in", "thin", "seed")
+
+    def __init__(
+        self,
+        draws: list[list[list[int]]],
+        acceptance: list[list[float]],
+        diagnostics: list[ChainDiagnostics] | None,
+        chains: int,
+        iterations: int,
+        burn_in: int,
+        thin: int,
+        seed: int,
+    ) -> None:
+        self.draws = draws
+        self.acceptance = acceptance
+        self.diagnostics = diagnostics
+        self.chains = chains
+        self.iterations = iterations
+        self.burn_in = burn_in
+        self.thin = thin
+        self.seed = seed
 
     @property
     def F_draws(self) -> list[list[int]]:

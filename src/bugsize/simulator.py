@@ -34,10 +34,9 @@ Poisson(lam) draw by ``sampler.poisson``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import fabs, floor, lgamma, log, log1p, log2, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ingest import TestLogRecord
 from .model import Hyperparams, flat_hyperparams, solve_beta_hyper
@@ -62,20 +61,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscretePmf:
-    """A finite discrete distribution over non-negative integer support."""
-
+class _DiscretePmf(NamedTuple):
     support: np.ndarray
     mass: np.ndarray
 
-    def __post_init__(self) -> None:
+
+class DiscretePmf(_DiscretePmf):
+    """A finite discrete distribution over non-negative integer support."""
+
+    __slots__ = ()
+
+    def __new__(cls, support, mass):
         import numpy as np
 
-        support = np.asarray(self.support, dtype=np.int64)
-        mass = np.asarray(self.mass, dtype=float)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", mass)
+        support = np.asarray(support, dtype=np.int64)
+        mass = np.asarray(mass, dtype=float)
         if support.shape != mass.shape or support.ndim != 1 or support.size == 0:
             raise ValueError("support and mass must be equal-length 1-d arrays")
         if np.any(np.diff(support) <= 0):
@@ -84,6 +84,7 @@ class DiscretePmf:
             raise ValueError("probability mass must be non-negative")
         if abs(float(mass.sum()) - 1.0) > 1e-12:
             raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
+        return super().__new__(cls, support, mass)
 
     def mean(self) -> float:
         return float(self.support @ self.mass)
@@ -194,8 +195,7 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioConfig(NamedTuple):
     phases: int
     bugs_per_phase: tuple[int, ...]
     n_trials_range: tuple[int, int]
@@ -204,7 +204,12 @@ class ScenarioConfig:
     seed: int
     exposure_offset: float = 100.0
 
-    def __post_init__(self) -> None:
+
+class ScenarioConfig(_ScenarioConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.phases < 1:
             raise ValueError("phases must be >= 1")
         if len(self.bugs_per_phase) != self.phases or any(b < 1 for b in self.bugs_per_phase):
@@ -224,10 +229,10 @@ class ScenarioConfig:
             raise ValueError("exposure_offset must be non-negative")
         if self.seed < 0:
             raise ValueError(f"scenario 'seed' must be a non-negative integer, got {self.seed}")
+        return self
 
 
-@dataclass(frozen=True)
-class TestLog:
+class TestLog(NamedTuple):
     records: list[TestLogRecord]
     runs_per_phase: list[int]
 
@@ -239,8 +244,7 @@ def negative_binomial(rng: random.Random, r: float, p: float) -> int:
     return poisson(rng, rng.gammavariate(r, p / (1.0 - p)))
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     eventual: list[list[int]]  # S_ij
     observed: list[list[int]]  # s_ij, zeros kept for unobserved bugs
     trials: list[list[int]]  # n_ij
@@ -356,4 +360,5 @@ def oracle_hyperparams(truth: GroundTruth, t_range: tuple[float, float]) -> Hype
         [[n] for n, s in zip(n_row, s_row) if s >= 1]
         for n_row, s_row in zip(truth.trials, truth.observed)
     ]
-    return replace(flat_hyperparams(len(truth.trials)), a=a, b=b, m_weights=m_weights)
+    flat = flat_hyperparams(len(truth.trials))
+    return Hyperparams(flat.alpha_hat, flat.beta_hat, a, b, m_weights)

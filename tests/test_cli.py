@@ -1088,12 +1088,13 @@ class TestCompareCommand:
         assert 0.0 <= report["win_fraction"] <= 1.0
 
 
-def _modules_loaded(snippet, *argv):
-    """Run `snippet` in a fresh interpreter and report whether numpy and
-    scipy were imported by the time it finished."""
+def _modules_loaded(snippet, *argv, modules=("numpy", "scipy")):
+    """Run `snippet` in a fresh interpreter and report whether each of
+    `modules` (numpy and scipy unless given) was imported by the time it
+    finished."""
     src = str(Path(bugsize.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    script = snippet + "\nimport sys\nprint('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    script = snippet + f"\nimport sys\nprint(*(m in sys.modules for m in {modules!r}))\n"
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True,
@@ -1102,8 +1103,7 @@ def _modules_loaded(snippet, *argv):
         timeout=120,
         check=True,
     )
-    numpy_loaded, scipy_loaded = done.stdout.split()[-2:]
-    return numpy_loaded == "True", scipy_loaded == "True"
+    return tuple(word == "True" for word in done.stdout.split()[-len(modules):])
 
 
 RUN_CLI = "import sys\nfrom bugsize.cli import run\nassert run(sys.argv[1:]) == 0"
@@ -1188,6 +1188,61 @@ class TestImportHygiene:
         drawn = tmp_path / "drawn.json"
         drawn.write_text(json.dumps({"hyper_seed": 5, "b": 2.0}))
         assert _modules_loaded(RUN_CLI, *fit, "--config", str(drawn)) == (False, False)
+
+    @pytest.mark.parametrize(
+        "command", ["ingest", "fit", "predict", "decide", "baseline", "compare", "simulate"]
+    )
+    def test_no_command_loads_dataclasses(self, command, sample_log, tmp_path):
+        # The records are NamedTuples and plain classes: dataclasses (with
+        # inspect, ast and dis) would cost every command's start-up about
+        # 6 ms.  predict and decide parse no table, so they skip ingest too.
+        # Each command that takes a config document reads one.
+        def document(name, text):
+            (tmp_path / name).write_text(text)
+            return str(tmp_path / name)
+
+        data = ["--data", str(sample_log), "--runs", "40,90"]
+        draws = document("draws.csv", "iteration,chain,phase,F\n0,0,1,30\n0,0,2,20\n1,0,1,34\n1,0,2,18\n")
+        argv = {
+            "ingest": ["ingest", *data],
+            "fit": [
+                "fit", *data, "--iterations", "60", "--burn-in", "10",
+                "--config", document("hyper.json", '{"hyper_seed": 5, "b": 2.0}'),
+            ],
+            "predict": [
+                "predict", "--totals", "30,20,12", "--draws", draws, "--epsilon", "1",
+                "--config", document("windows.json", '{"windows": [[0, 1], [1, 2], [2, 4]]}'),
+            ],
+            "decide": ["decide", "--totals", TABLE_TOTALS, "--epsilon", "1"],
+            "baseline": [
+                "baseline", "--detections", document("detections.csv", "phase,class,count\n1,1,5\n"),
+                "--config", document(
+                    "baseline.json",
+                    '{"n_total": 10, "p0": 0.5, "delta": 0.3, "q": [{"q_detect": [0.5], "q_none": 0.5}]}',
+                ),
+            ],
+            "compare": [
+                "compare", "--trials", "1",
+                "--scenario", document("scenario.json", '{"comparison": {"iterations": 100, "burn_in": 20}}'),
+            ],
+            "simulate": [
+                "simulate", "--scenario", document(
+                    "scenario.json",
+                    '{"phases": 2, "bugs_per_phase": [3, 3], "n_trials_range": [6, 14], '
+                    '"t_range": [0.35, 0.85], "p_true": [0.7, 0.7]}',
+                ),
+            ],
+        }[command]
+        if command == "simulate":  # --out names the log; the report goes to stdout
+            argv += ["--out", str(tmp_path / "log.csv"), "--quiet"]
+        else:
+            argv += ["--out", str(tmp_path / "report.json"), "--quiet"]
+        dataclasses_loaded, ingest_loaded = _modules_loaded(
+            RUN_CLI, *argv, modules=("dataclasses", "bugsize.ingest")
+        )
+        assert not dataclasses_loaded
+        if command in ("predict", "decide"):
+            assert not ingest_loaded
 
     def test_every_export_resolves(self):
         # each submodule's __all__ names only what the package defines

@@ -342,8 +342,9 @@ class TestInitState:
         state = init_state(data, hyper, random.Random(0))
         assert state.S[0] == [3]
         assert state.n_trials[0] == [10]
-        # t and p are integrated out: the state is S and the trial counts
-        assert set(vars(state)) == {"S", "n_trials"}
+        # t and p are integrated out: the state is S and the trial counts,
+        # and has no room for anything else
+        assert type(state).__slots__ == ("S", "n_trials") and not hasattr(state, "__dict__")
 
     def test_shrinking_history_starts_at_observed_floor(self):
         # per-phase totals (5, 6, 2) at the observed floor: the third phase
