@@ -27,7 +27,7 @@ from pathlib import Path
 if typing.TYPE_CHECKING:
     from .decision import StopDecision
     from .ingest import PhaseSummary
-    from .sampler import PosteriorSummary
+    from .sampler import PosteriorSummary, SamplerConfig
 
 __all__ = ["main", "run", "emit_report"]
 
@@ -272,7 +272,7 @@ def _cmd_fit(args) -> tuple[dict, dict]:
     posterior = sampler_mod.run_chain(summaries, hyper, sampler_config)
 
     if args.dump_draws:
-        _dump_draws(posterior, args.dump_draws)
+        _dump_draws(posterior, sampler_config, args.dump_draws)
 
     effective = {
         **_data_config(args),
@@ -301,23 +301,22 @@ def _cmd_fit(args) -> tuple[dict, dict]:
         "config": effective,
         "per_phase": per_phase,
         "acceptance_rate_mean": posterior.acceptance_rate_mean,
-        "iterations": posterior.iterations,
-        "burn_in": posterior.burn_in,
-        "thin": posterior.thin,
-        "chains": posterior.chains,
+        "iterations": sampler_config.iterations,
+        "burn_in": sampler_config.burn_in,
+        "thin": sampler_config.thin,
+        "chains": sampler_config.chains,
     }
     if posterior.diagnostics and any(d.r_hat > 1.1 for d in posterior.diagnostics):
         body["convergence_warning"] = "split R-hat above 1.1 for at least one phase"
     return effective, body
 
 
-def _dump_draws(posterior: PosteriorSummary, path: str) -> None:
+def _dump_draws(posterior: PosteriorSummary, config: SamplerConfig, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["iteration", "chain", "phase", "F"])
         for chain, rows in enumerate(posterior.draws):
-            for k, totals in enumerate(rows):
-                iteration = posterior.burn_in + k * posterior.thin
+            for iteration, totals in zip(config.retained, rows):
                 for phase_idx, total in enumerate(totals):
                     writer.writerow([iteration, chain, phase_idx + 1, repr(float(total))])
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from contextlib import contextmanager
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -82,9 +81,10 @@ class PhaseSummary(_PhaseSummary):
 
     `sizes_by_defect` preserves first-appearance order of defect ids so
     that downstream array layouts are reproducible; it defaults to a new
-    empty dict.  Unlike the other records, a summary keeps an instance
-    dict: it holds the cached `observed_sizes`.
+    empty dict.
     """
+
+    __slots__ = ()
 
     def __new__(cls, phase, runs_cumulative, sizes_by_defect=None):
         if sizes_by_defect is None:
@@ -103,10 +103,8 @@ class PhaseSummary(_PhaseSummary):
     def distinct_bugs(self) -> int:
         return len(self.sizes_by_defect)
 
-    @cached_property
+    @property
     def observed_sizes(self) -> tuple[int, ...]:
-        # Cached because the MH step reads it once per proposal; nothing
-        # writes to `sizes_by_defect` after construction.
         return tuple(self.sizes_by_defect.values())
 
     @property

@@ -24,6 +24,13 @@ law, r_k = C_k - sum_{i<k} C_i on the cumulative totals C, ruled such
 histories out (at those totals r_4 < 0); on the first two phases the two
 laws coincide, since r_1 = C_1 = F_1 and r_2 = C_2 - C_1 = F_2.
 
+Trial counts.  Bug (i, j)'s default candidates are max(s_ij, 1) times
+``TRIAL_CANDIDATE_MULTIPLIERS`` = (1, 2, 3, 4), s_ij its observed size, so
+S_ij's support always holds its floor; `sample_n_trials` draws candidate n
+with weight proportional to n.  A chain draws each trial count once, in
+``sampler.init_state``, and no sweep updates it: so S_ij <= 4 max(s_ij, 1),
+and a fit samples S given the drawn n, not the posterior of n.
+
 Collapsed terms.  Both t_ij ~ Beta(a_ij, b_ij) and p_j ~ Beta(alpha_j,
 beta_j) are conjugate, so they integrate out in closed form and the
 posterior of S given the trial counts is a product of two kinds of term
@@ -75,8 +82,6 @@ __all__ = [
     "log_posterior_S_kernel",
 ]
 
-# Trial-count candidates default to these multiples of the observed size,
-# keeping the support of S_ij a non-empty superset of the observed floor.
 TRIAL_CANDIDATE_MULTIPLIERS = (1, 2, 3, 4)
 
 

@@ -116,8 +116,8 @@ class SamplerConfig(_SamplerConfig):
         return self
 
     @property
-    def n_retained(self) -> int:
-        return len(range(self.burn_in, self.iterations, self.thin))
+    def retained(self) -> range:
+        return range(self.burn_in, self.iterations, self.thin)
 
 
 class ChainDiagnostics(NamedTuple):
@@ -141,7 +141,7 @@ def _quantile(ordered: list[float], q: float) -> float:
     return a + (b - a) * gamma
 
 
-class PosteriorSummary:
+class PosteriorSummary(NamedTuple):
     """Retained draws of the per-phase eventual-size totals plus summaries.
 
     ``draws[c][k][j]`` is the total of phase j in chain c's k-th retained
@@ -152,27 +152,9 @@ class PosteriorSummary:
     quantile.
     """
 
-    __slots__ = ("draws", "acceptance", "diagnostics", "chains", "iterations", "burn_in", "thin", "seed")
-
-    def __init__(
-        self,
-        draws: list[list[list[int]]],
-        acceptance: list[list[float]],
-        diagnostics: list[ChainDiagnostics] | None,
-        chains: int,
-        iterations: int,
-        burn_in: int,
-        thin: int,
-        seed: int,
-    ) -> None:
-        self.draws = draws
-        self.acceptance = acceptance
-        self.diagnostics = diagnostics
-        self.chains = chains
-        self.iterations = iterations
-        self.burn_in = burn_in
-        self.thin = thin
-        self.seed = seed
+    draws: list[list[list[int]]]
+    acceptance: list[list[float]]
+    diagnostics: list[ChainDiagnostics] | None
 
     @property
     def F_draws(self) -> list[list[int]]:
@@ -438,6 +420,7 @@ def _run_single_chain(data, hyper, config, chain):
         terms.append(log_phase_term(F[j], runs, alpha, beta))
 
     draws = []
+    retained = config.retained
     accept_counts = [[0] * s.distinct_bugs for s in data]
     for it in range(config.iterations):
         for j, (bugs, runs, alpha, beta) in enumerate(phases):
@@ -460,7 +443,7 @@ def _run_single_chain(data, hyper, config, chain):
                     counts[i] += 1
             F[j], terms[j] = total, term
 
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+        if it in retained:
             draws.append(list(F))
 
     rates = [[count / config.iterations for count in row] for row in accept_counts]
@@ -486,18 +469,9 @@ def run_chain(
         for j in range(len(data))
     ]
     diag = None
-    if config.chains >= 2 and config.n_retained >= 10:
+    if config.chains >= 2 and len(config.retained) >= 10:
         diag = diagnostics(draws)
-    return PosteriorSummary(
-        draws=draws,
-        acceptance=acceptance,
-        diagnostics=diag,
-        chains=config.chains,
-        iterations=config.iterations,
-        burn_in=config.burn_in,
-        thin=config.thin,
-        seed=config.seed,
-    )
+    return PosteriorSummary(draws, acceptance, diag)
 
 
 def _mean(values: list[float]) -> float:

@@ -199,6 +199,45 @@ class TestFitPipeline:
         assert len(rows) == 200 * 2 * 2
         assert {row["phase"] for row in rows} == {"1", "2"}
 
+    def test_draw_dump_numbers_retained_iterations(self, capsys, sample_log, tmp_path):
+        out = tmp_path / "fit.json"
+        dump = tmp_path / "draws.csv"
+        settings = ["--chains", "2", "--iterations", "30", "--burn-in", "8", "--thin", "3"]
+        assert run(self.fit_args(sample_log, out, extra=[*settings, "--dump-draws", str(dump)])) == 0
+        with dump.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        iterations = {}
+        for row in rows:
+            iterations.setdefault((row["chain"], row["phase"]), []).append(int(row["iteration"]))
+        assert iterations == {(c, p): [8, 11, 14, 17, 20, 23, 26, 29] for c in "01" for p in "12"}
+        report = json.loads(out.read_text())
+        assert (report["chains"], report["iterations"], report["burn_in"], report["thin"]) == (2, 30, 8, 3)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [["--chains", "1"], ["--chains", "2", "--iterations", "30", "--burn-in", "8", "--thin", "3"]],
+        ids=["one-chain", "eight-retained"],
+    )
+    def test_no_diagnostics_without_two_chains_of_ten_draws(self, capsys, sample_log, tmp_path, settings):
+        out = tmp_path / "fit.json"
+        assert run(self.fit_args(sample_log, out, extra=settings)) == 0
+        report = json.loads(out.read_text())
+        assert [(row["r_hat"], row["ess"]) for row in report["per_phase"]] == [(None, None)] * 2
+        assert "convergence_warning" not in report
+
+    def test_convergence_warning_above_r_hat_threshold(self, capsys, sample_log, tmp_path, monkeypatch):
+        from bugsize import sampler as sampler_mod
+
+        def diagnostics(draws):
+            return [sampler_mod.ChainDiagnostics(1.0, 50.0), sampler_mod.ChainDiagnostics(1.2, 8.0)]
+
+        monkeypatch.setattr(sampler_mod, "diagnostics", diagnostics)
+        out = tmp_path / "fit.json"
+        assert run(self.fit_args(sample_log, out)) == 0
+        report = json.loads(out.read_text())
+        assert [(row["r_hat"], row["ess"]) for row in report["per_phase"]] == [(1.0, 50.0), (1.2, 8.0)]
+        assert report["convergence_warning"] == "split R-hat above 1.1 for at least one phase"
+
     def test_predict_and_decide_from_report(self, capsys, sample_log, tmp_path):
         out = tmp_path / "fit.json"
         assert run(self.fit_args(sample_log, out)) == 0

@@ -102,14 +102,6 @@ def test_summarize_singleton():
     assert summary.observed_sizes == (4,)
 
 
-def test_observed_sizes_is_computed_once():
-    records = parse_test_log(SAMPLE_LOG.encode())
-    summary = summarize_phases(records, SYNTHETIC_RUNS)[0]
-    first = summary.observed_sizes
-    assert first == tuple(summary.sizes_by_defect.values())
-    assert summary.observed_sizes is first
-
-
 def test_summarize_missing_cycle_run_count():
     records = parse_test_log(SAMPLE_LOG.encode())
     with pytest.raises(ValueError, match="cycle 4"):

@@ -423,8 +423,8 @@ class TestRunChain:
     def test_retained_count(self):
         config = SamplerConfig(chains=1, iterations=103, burn_in=20, thin=7, seed=1)
         posterior = run_chain(_small_data(), flat_hyperparams(2), config)
-        assert np.shape(posterior.draws) == (1, config.n_retained, 2)
-        assert config.n_retained == 12
+        assert np.shape(posterior.draws) == (1, len(config.retained), 2)
+        assert len(config.retained) == 12
 
     def test_acceptance_rates_in_unit_interval(self):
         config = SamplerConfig(chains=2, iterations=200, burn_in=50, seed=9)
@@ -662,7 +662,6 @@ def test_summaries_follow_numpy_definitions(retained):
     draws = rng.integers(1, 30_000, size=(2, retained, 3))
     posterior = PosteriorSummary(
         draws=draws.tolist(), acceptance=[[0.5]], diagnostics=None,
-        chains=2, iterations=retained, burn_in=0, thin=1, seed=0,
     )
     pooled = draws.reshape(-1, 3).astype(float)
     assert posterior.F_mean == pooled.mean(axis=0).tolist()
@@ -680,7 +679,6 @@ def test_reductions_are_exactly_rounded(monkeypatch):
     assert reduce(add, rates) != fsum(rates)
     posterior = PosteriorSummary(
         draws=[[[3], [4]]], acceptance=[rates], diagnostics=None,
-        chains=1, iterations=2, burn_in=0, thin=1, seed=0,
     )
     assert posterior.acceptance_rate_mean == 0.1
 
