@@ -150,7 +150,7 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
     except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise ValueError(f"{flag} expects a comma-separated list of {noun}") from None
-    if not all(map(math.isfinite, values)):
+    if not all(abs(v) <= sys.float_info.max for v in values):  # NaN, infinities, integers beyond a float
         raise ValueError(f"{flag} must list finite numbers, got {text}")
     return values
 
@@ -229,6 +229,8 @@ def _summaries_from_args(args) -> list[PhaseSummary]:
         if args.runs is not None:
             raise ValueError("--runs cannot be given with --per-input, which counts each phase's runs")
         records, runs = ingest_mod.parse_input_log(args.data)
+        if not runs:
+            raise ValueError(f"{args.data} has no data rows")
     else:
         records = ingest_mod.parse_test_log(args.data)
         if not args.runs:
@@ -639,6 +641,9 @@ def run(argv) -> int:
         effective, body = args.handler(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print("error: a number overflows the float range", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

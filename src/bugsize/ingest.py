@@ -11,6 +11,8 @@ trimmed and case-insensitive. The delimiter is a tab if the first
 non-blank line holds one, else a comma. Blank rows are skipped, and
 errors name the physical line and the column (a byte that is not UTF-8,
 the line).
+
+Records aggregate into one `PhaseSummary` per phase (`summarize_phases`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from contextlib import contextmanager
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -72,44 +75,34 @@ class TestLogRecord(_TestLogRecord):
 
 class _PhaseSummary(NamedTuple):
     phase: int
-    runs_cumulative: int
-    sizes_by_defect: dict[int, int]
+    runs: int
+    sizes: tuple[int, ...]
 
 
 class PhaseSummary(_PhaseSummary):
-    """Aggregated view of one testing phase.
-
-    `sizes_by_defect` preserves first-appearance order of defect ids so
-    that downstream array layouts are reproducible; it defaults to a new
-    empty dict.
-    """
+    """One testing phase as the model reads it: its own run count `runs`
+    (at least 1) and its bugs' observed `sizes`, in first-appearance order
+    of defect ids.  Only the report sums runs (`phase_summary_doc`)."""
 
     __slots__ = ()
 
-    def __new__(cls, phase, runs_cumulative, sizes_by_defect=None):
-        if sizes_by_defect is None:
-            sizes_by_defect = {}
-        self = super().__new__(cls, phase, runs_cumulative, sizes_by_defect)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.phase < 1:
             raise ValueError(f"phase must be >= 1, got {self.phase}")
-        if self.runs_cumulative < 0:
-            raise ValueError("runs_cumulative must be non-negative")
-        for defect_id, size in self.sizes_by_defect.items():
-            if size < 0:
-                raise ValueError(f"negative size for defect {defect_id}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if min(self.sizes, default=0) < 0:
+            raise ValueError(f"phase {self.phase}: negative observed size")
         return self
 
     @property
     def distinct_bugs(self) -> int:
-        return len(self.sizes_by_defect)
-
-    @property
-    def observed_sizes(self) -> tuple[int, ...]:
-        return tuple(self.sizes_by_defect.values())
+        return len(self.sizes)
 
     @property
     def observed_total(self) -> int:
-        return sum(self.sizes_by_defect.values())
+        return sum(self.sizes)
 
 
 def _lines(source) -> list[str]:
@@ -324,9 +317,9 @@ def summarize_phases(
 ) -> list[PhaseSummary]:
     """Aggregate records into per-phase summaries.
 
-    Sizes of rows sharing (cycle, defect_id) are summed; cumulative run
-    counts are the running sum of `runs_per_phase`. Every cycle in
-    `records` must have a run count.
+    Sizes of rows sharing (cycle, defect_id) are summed; phase j's `runs`
+    is `runs_per_phase[j - 1]`. Every cycle in `records` must have a run
+    count.
     """
     runs = list(runs_per_phase)
     if not runs:
@@ -347,24 +340,23 @@ def summarize_phases(
         sizes = per_phase[record.cycle - 1]
         sizes[record.defect_id] = sizes.get(record.defect_id, 0) + record.size
 
-    summaries = []
-    runs_cumulative = 0
-    for phase, (run_count, sizes) in enumerate(zip(runs, per_phase), start=1):
-        runs_cumulative += int(run_count)
-        summaries.append(PhaseSummary(phase, runs_cumulative, sizes))
-    return summaries
+    return [
+        PhaseSummary(phase, int(run_count), tuple(sizes.values()))
+        for phase, (run_count, sizes) in enumerate(zip(runs, per_phase), start=1)
+    ]
 
 
-def phase_summary_doc(summaries: Iterable[PhaseSummary]) -> dict:
-    """Canonical serializable form of a phase-summary list."""
+def phase_summary_doc(summaries: list[PhaseSummary]) -> dict:
+    """Canonical serializable form of a phase-summary list.  A phase's
+    `runs_cumulative` is the sum of its own and every earlier phase's runs."""
     return {
         "phases": [
             {
                 "phase": s.phase,
-                "runs_cumulative": s.runs_cumulative,
+                "runs_cumulative": runs_cumulative,
                 "distinct_bugs": s.distinct_bugs,
-                "sizes": list(s.observed_sizes),
+                "sizes": list(s.sizes),
             }
-            for s in summaries
+            for s, runs_cumulative in zip(summaries, accumulate(s.runs for s in summaries))
         ]
     }

@@ -7,9 +7,9 @@ Latent quantities, per testing phase j with bugs i = 1..m_j:
 * ``t_ij`` -- a bug's detectability, ``Beta(a_ij, b_ij)``.
 * ``p_j`` -- per-run detection-side probability, ``Beta(alpha_j, beta_j)``
   with the Beta moments themselves drawn from uniform hyperpriors.
-* ``n_j = N_j - N_{j-1}`` -- the runs of phase j (``N`` cumulative,
-  ``N_0 = 0``), negative binomial with size parameter ``F_j``, the phase's
-  own total of eventual sizes:
+* ``n_j`` -- the runs of phase j alone (``PhaseSummary.runs``; with
+  cumulative runs ``N``, ``n_j = N_j - N_{j-1}``), negative binomial with
+  size parameter ``F_j``, the phase's own total of eventual sizes:
   ``P(n_j) = C(n_j + F_j - 1, n_j) p_j^n_j (1 - p_j)^F_j``.
 
 The run-count law.  The size parameter of phase j is F_j alone, and the
@@ -244,7 +244,7 @@ def resolve_for_data(hyper: Hyperparams, data: list[PhaseSummary]) -> Hyperparam
         raise ValueError("a and b must be positive")
     if hyper.m_weights is None:
         m_weights = [
-            [[max(s, 1) * k for k in TRIAL_CANDIDATE_MULTIPLIERS] for s in summary.observed_sizes]
+            [[max(s, 1) * k for k in TRIAL_CANDIDATE_MULTIPLIERS] for s in summary.sizes]
             for summary in data
         ]
     else:
@@ -339,9 +339,9 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper: H
     given the trial counts, with t and p integrated out.
 
     The sum of every phase's `log_phase_term` at its total F_k and its runs
-    n_k, and every bug's `log_bug_term`; `hyper` must be resolved
-    (`resolve_for_data`).  States with any S = 0 have zero mass and return
-    -inf; S above its trial count is a structural violation.
+    n_k (``PhaseSummary.runs``), and every bug's `log_bug_term`; `hyper`
+    must be resolved (`resolve_for_data`).  States with any S = 0 have zero
+    mass and return -inf; S above its trial count is a structural violation.
     """
     for j, (S_row, n_row) in enumerate(zip(state.S, state.n_trials)):
         if any(S > n for S, n in zip(S_row, n_row)):
@@ -351,8 +351,7 @@ def log_posterior_S_kernel(state: ChainState, data: list[PhaseSummary], hyper: H
     if any(S == 0 for S_row in state.S for S in S_row):
         return -math.inf
 
-    runs = _increments([s.runs_cumulative for s in data], "runs", strict=False)
-    terms = list(map(log_phase_term, state.F, runs, hyper.alpha_hat, hyper.beta_hat))
+    terms = list(map(log_phase_term, state.F, [s.runs for s in data], hyper.alpha_hat, hyper.beta_hat))
     for rows in zip(state.S, state.n_trials, hyper.a, hyper.b):
         terms += map(log_bug_term, *rows)
     return fsum(terms)

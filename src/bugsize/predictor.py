@@ -19,7 +19,7 @@ that table.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from math import erf, exp, expm1, fsum, isfinite, nextafter, pi, sqrt
+from math import erf, exp, expm1, fsum, inf, isfinite, nextafter, pi, sqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -304,8 +304,11 @@ def _default_grid(samples) -> tuple[float, ...]:
     with s the samples' standard deviation (ddof 1, as numpy computes it)."""
     x = [float(v) for v in samples]
     n = len(x)
-    mean = fsum(x) / n
-    spread = sqrt(fsum((v - mean) * (v - mean) for v in x) / (n - 1)) if n > 1 else 0.0
+    try:
+        mean = fsum(x) / n
+        spread = sqrt(fsum((v - mean) * (v - mean) for v in x) / (n - 1)) if n > 1 else 0.0
+    except OverflowError:  # a sum passes the largest float
+        spread = inf
     reference = 1.06 * spread * n ** (-0.2)
     if not isfinite(reference):
         raise ValueError(

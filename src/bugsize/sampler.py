@@ -6,16 +6,16 @@ whole state is the eventual-size matrix S, and it samples the marginal
 posterior of S: the one a Metropolis-within-Gibbs sampler over (S, t, p)
 targets, without a Beta draw.  Each sweep updates every S_ij in turn by an
 independence Metropolis step with a Poisson(max(s_ij, 1)) proposal, s_ij
-being the observed size; proposals below that floor or above the trial
-count are rejected outright.  The log acceptance ratio is the change in
-the two collapsed terms a move touches, bug (i, j)'s `model.log_bug_term`
-and phase j's `model.log_phase_term`, whose total F_j moves by the step,
-plus the proposal's ratio; so a step costs O(1) whatever the number of
-bugs and phases.  The sweep fuses the step into one loop: it computes each
-bug's constants and Poisson set-up once per chain and carries every bug's
-and every phase's current term between proposals, so a proposal evaluates
-each term once, at the proposed value.  `mh_log_alpha` and `mh_update_S`
-are the same step for one bug, scored from scratch.
+being the observed size ``data[j].sizes[i]``; proposals below that floor
+or above the trial count are rejected outright.  The log acceptance ratio
+is the change in the two collapsed terms a move touches, bug (i, j)'s
+`model.log_bug_term` and phase j's `model.log_phase_term`, whose total
+F_j moves by the step, plus the proposal's ratio; so a step costs O(1)
+whatever the number of bugs and phases.  The sweep fuses the step into
+one loop: it computes each bug's constants and Poisson set-up once per
+chain and carries every bug's and every phase's current term between
+proposals, so a proposal evaluates each term once, at the proposed value.
+`mh_log_alpha` and `mh_update_S` are one bug's step, scored from scratch.
 
 The sampler is pure Python: a chain's state and per-bug priors are Python
 numbers, and the retained draws and their summaries and diagnostics are
@@ -254,11 +254,6 @@ def _clamped_beta(rng: random.Random, a: float, b: float) -> float:
     return min(max(rng.betavariate(a, b), EPSILON_FLOOR), _CEILING)
 
 
-def _phase_runs(data: list[PhaseSummary], j: int) -> int:
-    """The runs of phase j alone, N_j - N_{j-1}."""
-    return data[j].runs_cumulative - (data[j - 1].runs_cumulative if j else 0)
-
-
 def gibbs_update_p(
     hyper: Hyperparams,
     data: list[PhaseSummary],
@@ -267,12 +262,12 @@ def gibbs_update_p(
     totals: list[int],
 ) -> float:
     """Draw p_j from its conjugate conditional Beta(n_j + alpha_j, F_j + beta_j),
-    with n_j the runs of phase j and F_j its total.
+    with n_j the runs of phase j (``data[j].runs``) and F_j its total.
 
     `totals` are the per-phase totals of the state's eventual sizes
     (``ChainState.F``); the sweep carries them instead of summing the state.
     """
-    a = _phase_runs(data, j) + hyper.alpha_hat[j]
+    a = data[j].runs + hyper.alpha_hat[j]
     b = totals[j] + hyper.beta_hat[j]
     return _clamped_beta(rng, a, b)
 
@@ -323,7 +318,7 @@ def mh_log_alpha(
     `hyper` is resolved (`resolve_for_data`); `totals` are the per-phase
     totals of ``state.S`` (``state.F``).
     """
-    lam = max(data[j].observed_sizes[i], 1)
+    lam = max(data[j].sizes[i], 1)
     n = state.n_trials[j][i]
     if proposed < lam or proposed > n:
         return -math.inf
@@ -334,7 +329,7 @@ def mh_log_alpha(
         raise ValueError(f"phase {j + 1}: eventual size exceeds its trial count")
 
     a, b, log_lam = hyper.a[j][i], hyper.b[j][i], log(lam)
-    runs, alpha, beta, F = _phase_runs(data, j), hyper.alpha_hat[j], hyper.beta_hat[j], totals[j]
+    runs, alpha, beta, F = data[j].runs, hyper.alpha_hat[j], hyper.beta_hat[j], totals[j]
     return (_bug_log_ratio(proposed, n, a, b, log_lam) - _bug_log_ratio(current, n, a, b, log_lam)) + (
         log_phase_term(F + proposed - current, runs, alpha, beta) - log_phase_term(F, runs, alpha, beta)
     )
@@ -357,7 +352,7 @@ def mh_update_S(
     not change it.
     """
     current = state.S[j][i]
-    proposed = poisson(rng, max(data[j].observed_sizes[i], 1))
+    proposed = poisson(rng, max(data[j].sizes[i], 1))
     log_alpha = mh_log_alpha(state, hyper, data, i, j, proposed, totals)
     if log_alpha >= 0.0:
         return proposed, True
@@ -383,7 +378,7 @@ def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random)
                 f"phase {summary.phase}: no logged bug, so its run count would have size parameter 0"
             )
         row = [sample_n_trials(hyper.m_weights[j][i], rng) for i in range(summary.distinct_bugs)]
-        floors = [max(s, 1) for s in summary.observed_sizes]
+        floors = [max(s, 1) for s in summary.sizes]
         bad = next((i for i, (n, f) in enumerate(zip(row, floors)) if n < f), None)
         if bad is not None:
             raise InitializationError(
@@ -392,7 +387,7 @@ def init_state(data: list[PhaseSummary], hyper: Hyperparams, rng: random.Random)
             )
         n_trials.append(row)
 
-    S = [[max(s, 1) for s in summary.observed_sizes] for summary in data]
+    S = [[max(s, 1) for s in summary.sizes] for summary in data]
     return ChainState(S=S, n_trials=n_trials)
 
 
@@ -406,11 +401,9 @@ def _run_single_chain(data, hyper, config, chain):
     F = state.F
     phases, ratios, terms = [], [], []
     for j, summary in enumerate(data):
-        runs, alpha, beta = _phase_runs(data, j), hyper.alpha_hat[j], hyper.beta_hat[j]
+        runs, alpha, beta = summary.runs, hyper.alpha_hat[j], hyper.beta_hat[j]
         bugs, ratio_row = [], []
-        for s, S, n, a, b in zip(
-            summary.observed_sizes, state.S[j], state.n_trials[j], hyper.a[j], hyper.b[j]
-        ):
+        for s, S, n, a, b in zip(summary.sizes, state.S[j], state.n_trials[j], hyper.a[j], hyper.b[j]):
             lam = max(s, 1)
             log_lam = log(lam)
             bugs.append((poisson_sampler(lam), lam, n, a, b, log_lam))
@@ -458,9 +451,6 @@ def run_chain(
     """
     if not data:
         raise ValueError("data must contain at least one phase summary")
-    runs = [s.runs_cumulative for s in data]
-    if any(later <= earlier for earlier, later in zip(runs, runs[1:])):
-        raise ValueError("cumulative run counts must be strictly increasing")
     resolved = resolve_for_data(hyper, data)
     results = [_run_single_chain(data, resolved, config, c) for c in range(config.chains)]
     draws = [r[0] for r in results]

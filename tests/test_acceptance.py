@@ -66,7 +66,7 @@ def test_criterion_1_exact_posterior_oracle():
     start = time.time()
     # one bug: the Metropolis step alone
     n, s, N, a, b, alpha, beta = 6, 2, 4, 1.5, 0.8, 2.0, 3.0
-    data = [PhaseSummary(1, N, {1: s})]
+    data = [PhaseSummary(1, N, (s,))]
     hyper = resolve_for_data(Hyperparams([alpha], [beta], a=a, b=b, m_weights=[[[n]]]), data)
     state = ChainState(S=[[s]], n_trials=[[n]])
     support = range(s, n + 1)
@@ -88,7 +88,7 @@ def test_criterion_1_exact_posterior_oracle():
     # two bugs: the sweep's law of the phase total F
     N, observed, trials = 9, (2, 3), (6, 8)
     a_row, b_row, alpha, beta = [1.0, 2.0], [1.0, 0.7], 1.5, 2.0
-    data = [PhaseSummary(1, N, dict(enumerate(observed)))]
+    data = [PhaseSummary(1, N, observed)]
     hyper = Hyperparams([alpha], [beta], a=[a_row], b=[b_row], m_weights=[[[n] for n in trials]])
     exact_F = {}
     for S_1 in range(observed[0], trials[0] + 1):
@@ -112,7 +112,7 @@ def test_criterion_2_conjugacy_equivalence():
     draws = 100_000
 
     # p update: N=5, per-phase total 3, alpha=2, beta=4 -> Beta(7, 7)
-    data = [PhaseSummary(1, 5, {1: 3})]
+    data = [PhaseSummary(1, 5, (3,))]
     hyper = flat_hyperparams(1)
     hyper.alpha_hat = np.array([2.0])
     hyper.beta_hat = np.array([4.0])
@@ -124,9 +124,9 @@ def test_criterion_2_conjugacy_equivalence():
     se_p = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)) / draws)
     ok_p = abs(mean_p - a / (a + b)) < 3 * se_p
 
-    # p update of phase 2: its own runs 12 - 5 = 7 and its own total 4,
+    # p update of phase 2: its own runs 7 and its own total 4,
     # alpha=2, beta=4 -> Beta(9, 8)
-    data_2 = [PhaseSummary(1, 5, {1: 3}), PhaseSummary(2, 12, {2: 4})]
+    data_2 = [PhaseSummary(1, 5, (3,)), PhaseSummary(2, 7, (4,))]
     hyper_2 = flat_hyperparams(2)
     hyper_2.alpha_hat = [1.0, 2.0]
     hyper_2.beta_hat = [1.0, 4.0]
@@ -140,7 +140,7 @@ def test_criterion_2_conjugacy_equivalence():
     # t update: S=3, n=10, a=2, b=2 -> Beta(5, 9)
     hyper_t = flat_hyperparams(1)
     hyper_t.a, hyper_t.b = 2.0, 2.0
-    resolved_t = resolve_for_data(hyper_t, [PhaseSummary(1, 5, {1: 3})])
+    resolved_t = resolve_for_data(hyper_t, [PhaseSummary(1, 5, (3,))])
     state_t = ChainState(S=[np.array([3])], n_trials=[np.array([10])])
     rng = random.Random(18)
     mean_t = np.mean([gibbs_update_t(state_t, resolved_t, 0, 0, rng) for _ in range(draws)])

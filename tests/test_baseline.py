@@ -214,6 +214,32 @@ class TestCompareModels:
             "relative_mse_size_biased", "relative_mse_baseline", "seed",
         }
 
+    def test_skipped_trials_are_counted(self, monkeypatch, capsys):
+        import bugsize.baseline as baseline_mod
+        from bugsize.cli import run
+        from bugsize.sampler import InitializationError
+
+        real_run_chain, calls = baseline_mod.run_chain, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise InitializationError("no starting state")
+            return real_run_chain(*args)
+
+        monkeypatch.setattr(baseline_mod, "run_chain", second_fails)
+        quick = ComparisonConfig(iterations=40, burn_in=10)
+        report = compare_models(default_scenario(0), trials=3, seed=13, comparison=quick)
+        assert len(calls) == 3
+        assert (report.trials, report.scored_trials, report.skipped_trials) == (3, 2, 1)
+
+        def every_fails(*args):
+            raise InitializationError("no starting state")
+
+        monkeypatch.setattr(baseline_mod, "run_chain", every_fails)
+        assert run(["compare", "--trials", "3", "--quiet"]) == 2
+        assert capsys.readouterr() == ("", "error: every comparison trial was skipped\n")
+
     def test_comparison_config_knobs(self):
         report = compare_models(
             default_scenario(0),

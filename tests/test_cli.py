@@ -562,6 +562,13 @@ class TestIngestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith("error: --runs cannot be given with --per-input")
 
+    @pytest.mark.parametrize("command", ["ingest", "fit"])
+    def test_per_input_log_without_data_rows_named(self, capsys, tmp_path, command):
+        log = tmp_path / "inputs.csv"
+        log.write_text("cycle,defect_id\n")
+        code, out, err = run_cli(capsys, command, "--data", str(log), "--per-input")
+        assert (code, out, err) == (1, "", f"error: {log} has no data rows\n")
+
 
 class TestDetectionTable:
     Q = {"q_detect": [0.5], "q_none": 0.5}
@@ -970,6 +977,15 @@ class TestNonFinite:
              "the reference bandwidth of these totals overflows to inf; set a fixed --bandwidth"),
             (["predict", "--totals", "1e308,1e300"], {},
              "the reference bandwidth of these totals overflows to inf; set a fixed --bandwidth"),
+            (["predict", "--totals", "1e308,1e308"], {},
+             "the reference bandwidth of these totals overflows to inf; set a fixed --bandwidth"),
+            (["predict", "--totals", "1e308,1e308", "--bandwidth", "1"], {}, "a number overflows the float range"),
+            (["fit", "--data", "{log}", "--runs", "40,90", "--config", "{hyper}"],
+             {"log": "cycle,defect_header,defect_id,size\n1,2,3,1\n2,13,31,2\n", "hyper": '{"a": 1e308, "b": 1e308}'},
+             "a number overflows the float range"),
+            (["fit", "--data", "{log}", "--runs", "1" + "0" * 400 + ",90"],
+             {"log": "cycle,defect_header,defect_id,size\n1,2,3,1\n2,13,31,2\n"},
+             "--runs must list finite numbers, got 1" + "0" * 400 + ",90"),
             (["fit", "--data", "{log}", "--runs", "40,90", "--config", "{hyper}"],
              {"log": "cycle,defect_header,defect_id,size\n1,2,3,1\n2,13,31,2\n", "hyper": '{"a": NaN}'},
              "config 'a' must be a number or a list of lists of numbers, got NaN"),
@@ -1006,7 +1022,8 @@ class TestNonFinite:
             "totals-nan", "totals-inf", "decide-totals-inf", "bandwidth-nan", "cv-grid-nan",
             "temporal-rate-nan", "predict-epsilon-inf", "decide-epsilon-nan", "report-F_mean",
             "report-predicted", "report-totals", "draws-F", "config-window", "bandwidth-overflow",
-            "bandwidth-overflow-max", "fit-config", "decide-totals-empty", "predict-totals-blank",
+            "bandwidth-overflow-max", "bandwidth-overflow-sum", "kernel-overflow", "fit-config-overflow",
+            "runs-huge-int", "fit-config", "decide-totals-empty", "predict-totals-blank",
             "decide-totals-empty-string", "report-no-totals", "report-per-phase-number",
             "report-per-phase-numbers", "report-totals-number", "report-predicted-null",
             "report-baseline", "report-F_mean-string", "report-totals-bool", "report-totals-huge-int",

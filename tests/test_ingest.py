@@ -92,14 +92,17 @@ def test_summarize_sample_cycle_totals():
 
 def test_summarize_cumulative_runs():
     summaries = summarize_phases(parse_test_log(SAMPLE_LOG.encode()), SYNTHETIC_RUNS)
-    assert [s.runs_cumulative for s in summaries] == [2000, 4500, 6700, 8757]
+    assert [s.runs for s in summaries] == SYNTHETIC_RUNS
+    # the report alone sums them
+    phases = phase_summary_doc(summaries)["phases"]
+    assert [row["runs_cumulative"] for row in phases] == [2000, 4500, 6700, 8757]
 
 
 def test_summarize_singleton():
     record = LogRecord(cycle=1, defect_header=0, defect_id=9, size=4)
     (summary,) = summarize_phases([record], [1])
-    assert summary.runs_cumulative == 1
-    assert summary.observed_sizes == (4,)
+    assert summary.runs == 1
+    assert summary.sizes == (4,)
 
 
 def test_summarize_missing_cycle_run_count():
@@ -139,7 +142,16 @@ def test_aggregation_is_order_independent(records, permutation):
     baseline = summarize_phases(records, runs)
     shuffled = list(records)
     permutation.shuffle(shuffled)
-    assert summarize_phases(shuffled, runs) == baseline
+
+    # sizes are in first-appearance order of defect ids, which a shuffle
+    # changes; keyed by those ids, each phase's sizes do not change
+    def by_defect(records, summaries):
+        return [
+            (s.phase, s.runs, dict(zip(dict.fromkeys(r.defect_id for r in records if r.cycle == s.phase), s.sizes)))
+            for s in summaries
+        ]
+
+    assert by_defect(shuffled, summarize_phases(shuffled, runs)) == by_defect(records, baseline)
 
 
 @settings(max_examples=60)
@@ -149,7 +161,7 @@ def test_phase_totals_match_brute_force(records):
     for summary in summaries:
         brute = sum(r.size for r in records if r.cycle == summary.phase)
         assert summary.observed_total == brute
-        assert summary.distinct_bugs == len(summary.observed_sizes)
+        assert summary.distinct_bugs == len(summary.sizes)
 
 
 def test_per_input_log_counts_runs_and_sizes():
@@ -165,8 +177,8 @@ def test_per_input_log_counts_runs_and_sizes():
     records, runs = parse_input_log(io.StringIO(text))
     assert runs == [4, 2]
     summaries = summarize_phases(records, runs)
-    assert summaries[0].sizes_by_defect == {7: 2}
-    assert summaries[1].sizes_by_defect == {9: 1}
+    assert summaries[0].sizes == (2,)
+    assert summaries[1].sizes == (1,)
 
 
 def test_unique_input_column_gives_the_same_records():

@@ -10,7 +10,9 @@ from scipy.integrate import quad
 from bugsize.ingest import PhaseSummary
 from bugsize.model import (
     ChainState,
+    HyperConfig,
     Hyperparams,
+    build_hyperparams,
     log_bug_term,
     log_likelihood,
     log_phase_term,
@@ -174,7 +176,7 @@ class TestLogLikelihood:
 
 
 def _two_bug_instance():
-    data = [PhaseSummary(1, 3, {7: 2}), PhaseSummary(2, 7, {9: 1})]
+    data = [PhaseSummary(1, 3, (2,)), PhaseSummary(2, 4, (1,))]
     state = ChainState(S=[np.array([3]), np.array([2])], n_trials=[np.array([5]), np.array([4])])
     hyper = Hyperparams(alpha_hat=[2.0, 0.6], beta_hat=[1.5, 3.0], a=[[1.2], [2.0]], b=[[0.7], [1.0]])
     return data, state, hyper
@@ -224,7 +226,7 @@ class TestPosteriorKernel:
     def test_monotone_in_t_at_full_size(self):
         # with t integrated out, the weight of full size S = n against
         # S = n - 1 grows with the prior mean a / (a + b) of t
-        data = [PhaseSummary(1, 3, {7: 2})]
+        data = [PhaseSummary(1, 3, (2,))]
         previous = -math.inf
         for a in (0.25, 0.7, 1.5, 4.0, 19.0):  # prior means 0.2 .. 0.95 at b = 1
             hyper = Hyperparams(alpha_hat=[1.0], beta_hat=[1.0], a=[[a]], b=[[1.0]])
@@ -238,7 +240,7 @@ class TestPosteriorKernel:
     def test_shrinking_totals_match_brute_force_ratio(self):
         # per-phase totals (5, 6, 2), then (5, 6, 4): phase 3 shrinks below
         # phase 1 in both states, and both have positive mass
-        data = [PhaseSummary(j, 3 * j, {j: 2}) for j in (1, 2, 3)]
+        data = [PhaseSummary(j, 3, (2,)) for j in (1, 2, 3)]
         n, N = [[8]] * 3, [3, 6, 9]
         hyper = Hyperparams(
             alpha_hat=[1.0, 2.0, 0.5], beta_hat=[1.0, 1.5, 2.5], a=[[1.0], [0.8], [3.0]], b=[[2.0], [1.0], [1.3]]
@@ -299,7 +301,7 @@ class TestCollapsedTerms:
 
 class TestResolveForData:
     def test_defaults(self):
-        data = [PhaseSummary(1, 5, {1: 2, 2: 3}), PhaseSummary(2, 9, {3: 1})]
+        data = [PhaseSummary(1, 5, (2, 3)), PhaseSummary(2, 4, (1,))]
         hyper = resolve_for_data(sample_hyper(2, 0), data)
         assert hyper.m_weights[0][0] == [2, 4, 6, 8]
         assert len(hyper.a[0]) == 2
@@ -314,13 +316,32 @@ class TestResolveForData:
         ],
     )
     def test_per_bug_rows_of_wrong_shape_rejected(self, name, rows, message):
-        data = [PhaseSummary(1, 5, {1: 2, 2: 3}), PhaseSummary(2, 9, {3: 1})]
+        data = [PhaseSummary(1, 5, (2, 3)), PhaseSummary(2, 4, (1,))]
         hyper = sample_hyper(2, 0)
         setattr(hyper, name, rows)
         with pytest.raises(ValueError, match=message):
             resolve_for_data(hyper, data)
 
     def test_phase_count_mismatch(self):
-        data = [PhaseSummary(1, 5, {1: 2})]
+        data = [PhaseSummary(1, 5, (2,))]
         with pytest.raises(ValueError, match="phases"):
             resolve_for_data(sample_hyper(2, 0), data)
+
+
+class TestBuildHyperparams:
+    DATA = [PhaseSummary(1, 5, (2, 3)), PhaseSummary(2, 4, (1,))]
+
+    @pytest.mark.parametrize(
+        "mu, sigma2, pairs",
+        [(0.3, 0.01, [(0.3, 0.01)] * 2), ([0.3, 0.6], [0.01, 0.05], [(0.3, 0.01), (0.6, 0.05)])],
+        ids=["scalar", "per-phase"],
+    )
+    def test_pinned_moments_are_solved_per_phase(self, mu, sigma2, pairs):
+        hyper = build_hyperparams(self.DATA, HyperConfig(a=2.0, mu=mu, sigma2=sigma2), seed=0)
+        assert list(zip(hyper.alpha_hat, hyper.beta_hat)) == [solve_beta_hyper(*pair) for pair in pairs]
+        assert (hyper.a, hyper.b) == (2.0, 1.0)
+
+    @pytest.mark.parametrize("pinned", [dict(mu=0.3), dict(sigma2=0.01)], ids=["mu", "sigma2"])
+    def test_one_moment_alone_rejected(self, pinned):
+        with pytest.raises(ValueError, match="^mu and sigma2 must be configured together$"):
+            build_hyperparams(self.DATA, HyperConfig(**pinned), seed=0)

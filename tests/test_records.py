@@ -23,8 +23,7 @@ SCENARIO = dict(
 CASES = [
     (ingest.TestLogRecord, dict(cycle=1, defect_header=0, defect_id=7, size=3), dict(cycle=0),
      "cycle must be >= 1, got 0"),
-    (PhaseSummary, dict(phase=1, runs_cumulative=4, sizes_by_defect={7: 3}), dict(sizes_by_defect={7: -1}),
-     "negative size for defect 7"),
+    (PhaseSummary, dict(phase=1, runs=4, sizes=(3,)), dict(runs=0), "runs must be >= 1, got 0"),
     (HyperConfig, dict(hyper_seed=3), dict(hyper_seed=-1),
      "config 'hyper_seed' must be a non-negative integer, got -1"),
     (SamplerConfig, dict(chains=2, iterations=20, burn_in=5), dict(burn_in=20),
@@ -58,7 +57,7 @@ def test_validated_record(record, valid, invalid, message):
 def test_resolve_for_data_validates_the_resolved_hyperparameters():
     # Hyperparams is mutable, so its phase parameters can go bad after it is
     # built; the resolved copy is built anew and checks them again
-    data = [PhaseSummary(1, 5, {1: 3})]
+    data = [PhaseSummary(1, 5, (3,))]
     hyper = flat_hyperparams(1)
     resolved = resolve_for_data(hyper, data)
     assert resolved is not hyper
@@ -88,3 +87,8 @@ def test_compare_models_validates_each_trial_scenario():
     bad = default_scenario(0)._replace(phases=0)
     with pytest.raises(ValueError, match="^phases must be >= 1$"):
         compare_models(bad, 1, 0)
+
+
+def test_phase_summary_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="^phase 1: negative observed size$"):
+        PhaseSummary(1, 4, (3, -1))

@@ -53,7 +53,7 @@ class RecordingRng:
 
 
 def _single_bug_setup(s=3, n=10, N=5, a=1.0, b=1.0, alpha=1.0, beta=1.0):
-    data = [PhaseSummary(1, N, {1: s})]
+    data = [PhaseSummary(1, N, (s,))]
     hyper = Hyperparams(alpha_hat=[alpha], beta_hat=[beta], a=a, b=b)
     hyper.m_weights = [[np.array([n])]]
     resolved = resolve_for_data(hyper, data)
@@ -63,9 +63,9 @@ def _single_bug_setup(s=3, n=10, N=5, a=1.0, b=1.0, alpha=1.0, beta=1.0):
 
 def _three_phase_setup():
     data = [
-        PhaseSummary(1, 10, {1: 1, 2: 2}),
-        PhaseSummary(2, 25, {3: 2, 4: 1}),
-        PhaseSummary(3, 45, {5: 3, 6: 2}),
+        PhaseSummary(1, 10, (1, 2)),
+        PhaseSummary(2, 15, (2, 1)),
+        PhaseSummary(3, 20, (3, 2)),
     ]
     hyper = Hyperparams(
         alpha_hat=[2.0, 0.7, 3.5],
@@ -91,7 +91,7 @@ def _beta(x, y):
 def _reference_log_alpha(state, hyper, data, i, j, proposed, offset=0.0):
     """The acceptance ratio from two full-kernel passes (plus a constant)."""
     current = int(state.S[j][i])
-    lam = max(int(data[j].observed_sizes[i]), 1)
+    lam = max(int(data[j].sizes[i]), 1)
     if proposed < lam or proposed > state.n_trials[j][i]:
         return -math.inf
     if proposed == current:
@@ -112,7 +112,7 @@ def _reference_log_alpha(state, hyper, data, i, j, proposed, offset=0.0):
 
 def _reference_update(state, hyper, data, i, j, rng, offset=0.0):
     current = int(state.S[j][i])
-    proposed = sampler_mod.poisson(rng, max(int(data[j].observed_sizes[i]), 1))
+    proposed = sampler_mod.poisson(rng, max(int(data[j].sizes[i]), 1))
     log_alpha = _reference_log_alpha(state, hyper, data, i, j, proposed, offset)
     if log_alpha >= 0.0:
         return proposed, True
@@ -126,26 +126,26 @@ def _reference_update(state, hyper, data, i, j, rng, offset=0.0):
 class TestGibbsP:
     def test_posterior_params_read_off(self):
         # N=5, per-phase total 3 gives r=3; alpha=2, beta=4 -> Beta(7, 7)
-        data = [PhaseSummary(1, 5, {1: 3})]
+        data = [PhaseSummary(1, 5, (3,))]
         hyper = Hyperparams(alpha_hat=np.array([2.0]), beta_hat=np.array([4.0]))
         state = ChainState(S=[np.array([3])], n_trials=[np.array([6])])
         rng = RecordingRng()
         gibbs_update_p(hyper, data, 0, rng, state.F)
         assert rng.calls == [(7.0, 7.0)]
 
-    def test_long_run_mean_beta_1_2(self):
-        # N=0, r=1, flat hyper -> Beta(1, 2) with mean 1/3
-        data = [PhaseSummary(1, 0, {1: 1})]
-        hyper = flat_hyperparams(1)
+    def test_long_run_mean_beta_2_4(self):
+        # 1 run, r=1, alpha=1, beta=3 -> Beta(2, 4) with mean 1/3
+        data = [PhaseSummary(1, 1, (1,))]
+        hyper = Hyperparams(alpha_hat=[1.0], beta_hat=[3.0])
         state = ChainState(S=[np.array([1])], n_trials=[np.array([4])])
         rng = random.Random(5)
         draws = [gibbs_update_p(hyper, data, 0, rng, state.F) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(1 / 3, abs=0.005)
 
     def test_later_phase_reads_its_own_runs_and_total(self):
-        # phase 3 of a shrinking history: 9 - 5 = 4 runs and total 1, with
+        # phase 3 of a shrinking history: its own 4 runs and total 1, with
         # alpha = 2, beta = 3 -> Beta(6, 4)
-        data = [PhaseSummary(j, runs, {j: 1}) for j, runs in ((1, 2), (2, 5), (3, 9))]
+        data = [PhaseSummary(j, runs, (1,)) for j, runs in ((1, 2), (2, 3), (3, 4))]
         hyper = Hyperparams(alpha_hat=[1.0, 1.0, 2.0], beta_hat=[1.0, 1.0, 3.0])
         rng = RecordingRng()
         gibbs_update_p(hyper, data, 2, rng, [3, 4, 1])
@@ -283,7 +283,7 @@ class TestMetropolisStep:
         checked = 0
         for j, summary in enumerate(data):
             for i in range(summary.distinct_bugs):
-                lam = max(summary.observed_sizes[i], 1)
+                lam = max(summary.sizes[i], 1)
                 current = state.S[j][i]
                 for proposed in range(lam, state.n_trials[j][i] + 1):
                     moved = [list(row) for row in state.S]
@@ -302,14 +302,13 @@ class TestMetropolisStep:
     def test_local_delta_matches_full_kernel_difference(self, draw):
         phases = draw.draw(st.integers(1, 4))
         sizes, trials, data = [], [], []
-        runs = 0
         for phase in range(1, phases + 1):
             bugs = draw.draw(st.integers(1, 3))
             n_row = draw.draw(st.lists(st.integers(1, 12), min_size=bugs, max_size=bugs))
             S_row = [draw.draw(st.integers(1, n)) for n in n_row]
             observed = [draw.draw(st.integers(0, S)) for S in S_row]
-            runs += draw.draw(st.integers(0 if phase == 1 else 1, 40))
-            data.append(PhaseSummary(phase, runs, dict(enumerate(observed))))
+            runs = draw.draw(st.integers(1, 40))
+            data.append(PhaseSummary(phase, runs, tuple(observed)))
             sizes.append(np.array(S_row))
             trials.append(np.array(n_row))
         shape = st.floats(0.05, 20.0)
@@ -350,9 +349,9 @@ class TestInitState:
         # per-phase totals (5, 6, 2) at the observed floor: the third phase
         # shrinks, and the state starts there without any repair
         data = [
-            PhaseSummary(1, 10, {1: 5}),
-            PhaseSummary(2, 20, {2: 6}),
-            PhaseSummary(3, 30, {3: 2}),
+            PhaseSummary(1, 10, (5,)),
+            PhaseSummary(2, 10, (6,)),
+            PhaseSummary(3, 10, (2,)),
         ]
         hyper = flat_hyperparams(3)
         hyper.m_weights = [[np.array([5])], [np.array([6])], [np.array([3])]]
@@ -362,14 +361,14 @@ class TestInitState:
 
     def test_phase_without_bug_fails(self):
         # its total, the size parameter of its run count, would be 0
-        data = [PhaseSummary(1, 10, {1: 5}), PhaseSummary(2, 20, {})]
+        data = [PhaseSummary(1, 10, (5,)), PhaseSummary(2, 10, ())]
         hyper = flat_hyperparams(2)
         hyper.m_weights = [[[5]], []]
         with pytest.raises(InitializationError, match="phase 2: no logged bug"):
             init_state(data, resolve_for_data(hyper, data), random.Random(0))
 
     def test_trial_count_below_observed_fails(self):
-        data = [PhaseSummary(1, 10, {1: 5})]
+        data = [PhaseSummary(1, 10, (5,))]
         hyper = flat_hyperparams(1)
         hyper.m_weights = [[np.array([3])]]
         resolved = resolve_for_data(hyper, data)
@@ -380,7 +379,7 @@ class TestInitState:
         # numpy rows in, Python numbers out: per-bug priors given as arrays,
         # candidates as arrays (as oracle_hyperparams gives them) and the
         # default candidates
-        data = [PhaseSummary(1, 10, {1: 2, 2: 3}), PhaseSummary(2, 30, {3: 4})]
+        data = [PhaseSummary(1, 10, (2, 3)), PhaseSummary(2, 20, (4,))]
         given = flat_hyperparams(2)
         given.a = [np.array([1.5, 2.0]), np.array([3.0])]
         given.b = [[2.0, 1.0], [0.5]]
@@ -401,7 +400,7 @@ class TestInitState:
 
 
 def _small_data():
-    return [PhaseSummary(1, 12, {1: 2, 2: 3}), PhaseSummary(2, 30, {3: 4})]
+    return [PhaseSummary(1, 12, (2, 3)), PhaseSummary(2, 18, (4,))]
 
 
 class TestRunChain:
@@ -413,7 +412,7 @@ class TestRunChain:
 
     def test_degenerate_instance_is_constant(self):
         # trial counts equal observed sizes: S has single-point support
-        data = [PhaseSummary(1, 9, {1: 2, 2: 3})]
+        data = [PhaseSummary(1, 9, (2, 3))]
         hyper = flat_hyperparams(1)
         hyper.m_weights = [[np.array([2]), np.array([3])]]
         config = SamplerConfig(chains=2, iterations=100, burn_in=10, seed=3)
@@ -442,9 +441,9 @@ class TestRunChain:
         # from then on which uniforms are drawn.  Every sweep is retained,
         # so the draws are the carried totals after each sweep.
         data = [
-            PhaseSummary(1, 10, {1: 1, 2: 2}),
-            PhaseSummary(2, 25, {3: 2, 4: 1}),
-            PhaseSummary(3, 45, {5: 3, 6: 2}),
+            PhaseSummary(1, 10, (1, 2)),
+            PhaseSummary(2, 15, (2, 1)),
+            PhaseSummary(3, 20, (3, 2)),
         ]
         hyper = resolve_for_data(sample_hyper(3, 12), data)
         config = SamplerConfig(chains=2, iterations=150, burn_in=0, seed=12)
@@ -474,9 +473,9 @@ class TestRunChain:
         # whose observed total is below the first's; the hash pins every
         # retained draw.
         data = [
-            PhaseSummary(1, 40, {1: 3, 2: 1, 3: 5}),
-            PhaseSummary(2, 95, {4: 4, 5: 2, 6: 6, 7: 1}),
-            PhaseSummary(3, 160, {8: 3, 9: 2, 10: 1}),
+            PhaseSummary(1, 40, (3, 1, 5)),
+            PhaseSummary(2, 55, (4, 2, 6, 1)),
+            PhaseSummary(3, 65, (3, 2, 1)),
         ]
         config = SamplerConfig(chains=2, iterations=300, burn_in=60, thin=2, seed=2024)
         posterior = run_chain(data, sample_hyper(3, 5), config)
@@ -538,17 +537,17 @@ class TestRunChain:
 
         monkeypatch.setattr(model_mod, "lgamma", counted)
         monkeypatch.setattr(sampler_mod, "lgamma", counted)
-        data = [
-            PhaseSummary(j, 400 * j, {j * 1000 + i: 1 + i % 5 for i in range(bugs)}) for j in (1, 2)
-        ]
+        data = [PhaseSummary(j, 400, tuple(1 + i % 5 for i in range(bugs))) for j in (1, 2)]
         config = SamplerConfig(chains=1, iterations=40, burn_in=0, seed=3)
         run_chain(data, flat_hyperparams(2), config)
         proposals = config.iterations * 2 * bugs
         assert 0 < len(calls) / proposals < 9 * (1 + 1 / config.iterations)
 
     def test_nonincreasing_runs_rejected(self):
-        data = [PhaseSummary(1, 30, {1: 2}), PhaseSummary(2, 30, {2: 3})]
-        with pytest.raises(ValueError, match="strictly increasing"):
+        # cumulative runs 30 then 30 leave the second phase no runs of its
+        # own; such a history is refused before any chain starts
+        with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
+            data = [PhaseSummary(1, 30, (2,)), PhaseSummary(2, 0, (3,))]
             run_chain(data, flat_hyperparams(2), SamplerConfig(seed=0))
 
 

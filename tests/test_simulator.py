@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, nbinom
 
-from bugsize.ingest import summarize_phases
+from bugsize.ingest import phase_summary_doc, summarize_phases
 from bugsize.simulator import (
     ScenarioConfig,
     binomial,
@@ -89,7 +89,8 @@ class TestGenerate:
             observed_row = np.asarray(observed_row)
             assert summary.observed_total == int(observed_row.sum())
             assert summary.distinct_bugs == int((observed_row >= 1).sum())
-        assert [s.runs_cumulative for s in summaries] == truth.runs_cumulative
+        phases = phase_summary_doc(summaries)["phases"]
+        assert [row["runs_cumulative"] for row in phases] == truth.runs_cumulative
 
     def test_shrinking_scenario_generates(self):
         # a huge first phase and tiny later ones: the totals shrink, and the
